@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from .chebyshev import preperiodic_order_of_minpoly, rational_preperiodic_order
 from .errors import DomainError
@@ -15,10 +14,22 @@ from .roots import complex_roots
 
 
 def _is_irreducible(f: IntPoly) -> bool:
+    """Irreducibility over Q: exact in integers up to degree 2, sympy above.
+
+    a x^2 + b x + c has a rational root iff b^2 - 4ac is a square (a negative
+    discriminant is not); content and sign do not matter. sympy is imported
+    only here, so rational and quadratic betas never load it.
+    """
     if f.degree < 1:
         return False
     if f.degree == 1:
         return True
+    if f.degree == 2:
+        c, b, a = f.coeffs
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    import sympy
+
     x = sympy.Symbol("x")
     expr = sum(c * x**i for i, c in enumerate(f.coeffs))
     return sympy.Poly(expr, x).is_irreducible

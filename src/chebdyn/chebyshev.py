@@ -268,6 +268,23 @@ class PreperiodicOrbit:
         return np.array([c.value for c in self.conjugates], dtype=np.float64)
 
 
+#: Rigorous bound on |2*math.cos(2*math.pi*a/n) - 2 cos(2 pi a / n)| for
+#: 1 <= a <= n/2 in float64 (u = 2^-53; a and n are exact floats):
+#: - argument: 2*math.pi = 2 pi (1 + e0) with |e0| < u/2, and the product
+#:   and the quotient each round once, so the float angle is
+#:   theta (1 + e0)(1 + e1)(1 + e2) with |e1|, |e2| <= u; as theta <= pi its
+#:   error is at most pi ((1 + u/2)(1 + u)^2 - 1) < 2.5000001 pi u.
+#: - cos is 1-Lipschitz, so that error passes through unchanged.
+#: - libm cos is within 1 ulp (glibc, macOS libm); ulp <= 2u on [-1, 1].
+#: - the doubling is exact, so the total is 2 (2.5000001 pi + 2) u < 2.19e-15.
+ORBIT_COS_ERROR = 2.2e-15
+
+
+def float_conjugate(a: int, n: int) -> ApproxReal:
+    """2 cos(2 pi a / n) in float64 with its error bound, 1 <= a <= n/2."""
+    return ApproxReal(2 * math.cos(2 * math.pi * a / n), ORBIT_COS_ERROR)
+
+
 @lru_cache(maxsize=None)
 def preperiodic_orbit(n: int) -> PreperiodicOrbit:
     """Construct the order-n orbit: exact minimal polynomial plus conjugates."""
@@ -281,9 +298,7 @@ def preperiodic_orbit(n: int) -> PreperiodicOrbit:
     elif n == 2:
         conj = (ApproxReal(-2.0, 0.0),)
     else:
-        conj = tuple(
-            ApproxReal(2 * math.cos(2 * math.pi * a / n), 4e-16) for a in a_vals
-        )
+        conj = tuple(float_conjugate(a, n) for a in a_vals)
     size = orbit_size(n)
     assert poly.degree == size
     return PreperiodicOrbit(n, poly, size, a_vals, conj)

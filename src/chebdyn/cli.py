@@ -495,16 +495,12 @@ def _sample_betas(rng: random.Random, trials: int, height_cap: float, degree_cap
             a = rng.randint(1, 6)
             b = rng.randint(-12, 12)
             c = rng.randint(-12, 12)
-            disc = b * b - 4 * a * c
-            if disc == 0 or math.gcd(math.gcd(a, b), c) != 1:
+            if math.gcd(math.gcd(a, b), c) != 1:
                 continue
-            root = round(math.isqrt(abs(disc)) if disc > 0 else -1)
-            if disc > 0 and root * root == disc:
-                continue  # reducible
             try:
                 beta = algebraic_number([c, b, a], 0)
             except ChebdynError:
-                continue
+                continue  # reducible
             if beta.is_preperiodic:
                 continue
             h = weil_height_algebraic(beta).value

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy
 
@@ -20,6 +21,8 @@ from chebdyn import (
 )
 from chebdyn.chebyshev import (
     ChebMap,
+    coprime_residues_half,
+    float_conjugate,
     halved_minpoly,
     is_preperiodic_dynamic,
     minpoly_identity_exact,
@@ -112,6 +115,49 @@ def test_minpoly_identity_mod_random_orders():
     rng = random.Random(71)
     for n in rng.sample(range(201, 1001), 60):
         assert minpoly_identity_mod(n), n
+
+
+def _scaled_cosines(n: int, bits: int) -> list[int]:
+    """round(2^bits * 2 cos(2 pi k / n)) for k = 0..n/2, up to a few units.
+
+    x_1 comes from mpmath; x_{k+1} = x_1 x_k - x_{k-1} then runs in integers.
+    Each step adds at most two units (the truncation, and x_1's rounding
+    times |x_k| <= 2), and a unit added at step j is at most k - j + 1 units
+    at step k (|U_m| <= m + 1), so x_k is off by at most k (k + 1) units:
+    below 2^-179 for n <= 2000 at 200 bits.
+    """
+    with mp.workprec(bits + 32):
+        x1 = int(mp.nint(2 * mp.cospi(mp.mpf(2) / n) * mp.mpf(2) ** bits))
+    xs = [2 << bits, x1]
+    for _ in range(2, n // 2 + 1):
+        xs.append(((x1 * xs[-1]) >> bits) - xs[-2])
+    return xs
+
+
+def test_orbit_conjugate_error_bounds_hold():
+    """Every float conjugate of every orbit N <= 2000 lies within its
+    reported error bound of the exact 2 cos(2 pi a / N).
+
+    The former flat 4e-16 was exceeded from N = 3 on (error 4.4e-16), with
+    errors of 5.1e-16 at (N, a) = (41, 11) and 9.83e-16 at (1987, 671).
+    """
+    bits = 200
+    for n, a in ((41, 11), (1987, 671)):  # the oracle itself, against cospi
+        with mp.workprec(bits + 32):
+            exact = int(mp.nint(2 * mp.cospi(mp.mpf(2 * a) / n) * mp.mpf(2) ** bits))
+        assert abs(_scaled_cosines(n, bits)[a] - exact) < 2**30
+    for n in (3, 41, 1987):
+        orbit = preperiodic_orbit(n)
+        assert orbit.conjugates == tuple(float_conjugate(a, n) for a in orbit.a_values)
+    worst = 0.0
+    for n in range(3, 2001):
+        xs = _scaled_cosines(n, bits)
+        for a in coprime_residues_half(n):
+            c = float_conjugate(a, n)
+            err = abs(int(c.value * 2.0**bits) - xs[a]) / 2**bits
+            assert err <= c.error_bound, (n, a, err, c.error_bound)
+            worst = max(worst, err)
+    assert worst > 4e-16  # the sweep does see errors past the former bound
 
 
 def test_orbit_closure_under_dynamics():

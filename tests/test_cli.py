@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -173,3 +177,56 @@ def test_beta_grammar():
         parse_beta("poly:4,4,1")  # (x+2)^2 reducible
     with pytest.raises(UsageError):
         parse_places("inf,9")
+
+
+# Runs main() on each argv in a fresh interpreter, optionally with sympy made
+# unimportable, and prints [sympy loaded after import, [[exit, stdout], ...],
+# sympy loaded at the end] as JSON.
+_FRESH_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None
+import chebdyn.cli
+loaded = lambda: sys.modules.get("sympy") is not None
+after_import = loaded()
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([chebdyn.cli.main(argv), out.getvalue()])
+print(json.dumps([after_import, runs, loaded()]))
+"""
+
+
+def _fresh_run(mode, argvs):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, mode, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_sympy_stays_off_rational_and_quadratic_paths():
+    argvs = [
+        ["orbit", "--N", "7"],
+        ["scan", "--beta", "3", "--S", "inf,2,3,5,11", "--Nmax", "12"],
+        ["sintegral", "--beta", "3", "--N", "5", "--S", "inf,11"],
+        ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
+        ["height", "--beta", "poly:5,-6,5@1"],
+        ["theorem2", "--S", "inf,2,3", "--trials", "4", "--Nmax", "60", "--seed", "3", "--Dcap", "2"],
+    ]
+    _, blocked, _ = _fresh_run("block", argvs)
+    plain_import, plain, plain_end = _fresh_run("plain", argvs)
+    assert not plain_import and not plain_end  # no op above loaded sympy
+    assert [code for code, _ in plain] == [0] * len(argvs)
+    assert blocked == plain  # same exit codes and report bytes
+    assert 2 in {b["degree"] for b in json.loads(plain[-1][1])["results"]["perBeta"]}
+
+
+def test_cubic_beta_imports_sympy_lazily():
+    _, [[code, out]], sympy_loaded = _fresh_run("plain", [["height", "--beta", "poly:-2,0,0,1"]])
+    assert code == 0 and sympy_loaded
+    assert json.loads(out)["results"]["degree"] == 3
