@@ -6,7 +6,7 @@ resultants and Newton polygons, and runs equidistribution / proximity /
 uniform-count verifications at desk scale.
 """
 
-from .algebraic import AlgebraicNumber, algebraic_number, from_fraction
+from .algebraic import AlgebraicNumber, algebraic_number
 from .baker import (
     AngleGapRecord,
     BakerInstance,
@@ -37,8 +37,8 @@ from .equidist import (
     PairingEstimate,
     az_pairing_estimate,
     discrepancy,
-    discrepancy_scan,
     equilibrium_potential,
+    finite_lambda_average,
     fitted_slope,
     lambda_integral,
     log_plus_integral,
@@ -77,7 +77,7 @@ from .integrality import (
     newton_polygon_valuations,
     pairing_value,
     root_of_unity_valuation,
-    s_integral_verdict,
+    scan_orbits,
 )
 from .intpoly import IntPoly, resultant
 from .numerics import ApproxComplex, ApproxReal

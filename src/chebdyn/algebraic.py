@@ -101,8 +101,3 @@ def algebraic_number(
         raise DomainError(f"embedding index {index} out of range for degree {f.degree}")
     return AlgebraicNumber(f, roots[index], index)
 
-
-def from_fraction(q) -> AlgebraicNumber:
-    q = Fraction(q)
-    f = IntPoly.of(-q.numerator, q.denominator)
-    return AlgebraicNumber(f, ApproxComplex(complex(q), abs(float(q)) * 2e-16), 0)

@@ -33,20 +33,20 @@ from .chebyshev import (
 )
 from .equidist import (
     arch_discrepancy_fast,
-    discrepancy,
+    finite_lambda_average,
     fitted_slope,
     lambda_integral,
     log_plus_integral,
 )
 from .errors import ChebdynError, DomainError
-from .factorint import euler_phi, factor_counts, is_prime, strip_primes
+from .factorint import euler_phi, is_prime
 from .heights import (
     canonical_height,
     dobrowolski_floor,
     weil_height_algebraic,
     weil_height_rational,
 )
-from .integrality import ARCH, Place, PlaceSet, is_s_integral, near_orbit_scan, pairing_value
+from .integrality import ARCH, Place, PlaceSet, is_s_integral, near_orbit_scan, scan_orbits
 from .reports import all_checks_pass, build_report, make_check, write_csv, write_json
 
 DEFAULT_SIZE_CONSTANT = 2.0  # threshold c in the size cutoff c * D^12
@@ -251,35 +251,6 @@ def cmd_sintegral(args):
     return _emit(report, args)
 
 
-def _scan_orbits(beta, places, n_max, size_threshold):
-    lead_primes = ()
-    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-        lead_primes = tuple(factor_counts(beta.leading))
-    s_fin = set(places.finite_primes)
-    rows = []
-    exceptional = 0
-    for n in range(1, n_max + 1):
-        val = pairing_value(n, beta)
-        if val == 0:
-            continue
-        if strip_primes(val, s_fin | set(lead_primes)) != 1:
-            continue
-        size = orbit_size(n)
-        meets = {}
-        v = abs(val)
-        for p in sorted(s_fin):
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            if e:
-                meets[p] = e
-        rows.append((n, size, meets))
-        if size > size_threshold:
-            exceptional += 1
-    return rows, exceptional
-
-
 def cmd_scan(args):
     beta = parse_beta(args.beta)
     places = parse_places(args.S)
@@ -291,7 +262,7 @@ def cmd_scan(args):
         raise UsageError(f"beta {args.beta} is preperiodic; the scan needs a wandering point")
     degree = _beta_degree(beta)
     threshold = args.size_constant * degree**12
-    rows, exceptional = _scan_orbits(beta, places, args.Nmax, threshold)
+    rows, exceptional = scan_orbits(beta, places, args.Nmax, threshold)
     s_fin = places.finite_primes
     stabilization = max((n for n, _, _ in rows), default=0)
     results = {
@@ -348,17 +319,10 @@ def cmd_equidist(args):
         if place.is_archimedean:
             rec = arch_discrepancy_fast(beta, n)
             rows.append((rec.orbit_order, rec.orbit_size, rec.discrepancy))
-            continue
-        # finite place: both the average and the integral vanish unless the
-        # orbit meets beta at p, so the minimal polynomial is only built then
-        val = pairing_value(n, beta)
-        if val == 0:
-            continue
-        if val % place.p or beta.denominator % place.p == 0:
-            rows.append((n, orbit_size(n), 0.0))
-            continue
-        rec = discrepancy(preperiodic_orbit(n), beta, place)
-        rows.append((rec.orbit_order, rec.orbit_size, rec.discrepancy))
+        else:
+            # the finite-place integral vanishes, so the discrepancy is the
+            # (nonnegative) orbit average itself
+            rows.append((n, orbit_size(n), finite_lambda_average(n, beta, place.p)))
     sizes = [size for _, size, _ in rows if size > 1]
     discs = [d for _, size, d in rows if size > 1]
     slope = fitted_slope(sizes, discs) if len(sizes) > 4 else 0.0
@@ -519,7 +483,7 @@ def cmd_theorem2(args):
     worst = 0
     for sb in betas:
         threshold = args.size_constant * sb.degree**12
-        rows, exceptional = _scan_orbits(sb.value, places, args.Nmax, threshold)
+        rows, exceptional = scan_orbits(sb.value, places, args.Nmax, threshold)
         worst = max(worst, exceptional)
         per_beta.append(
             {

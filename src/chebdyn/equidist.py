@@ -21,13 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .algebraic import AlgebraicNumber
-from .chebyshev import (
-    PreperiodicOrbit,
-    cheb_eval,
-    is_preperiodic_rational,
-    orbit_value,
-    preperiodic_orbit,
-)
+from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, orbit_size
 from .errors import DomainError, PreperiodicInputError
 from .factorint import padic_valuation
 from .heights import (
@@ -42,6 +36,7 @@ from .integrality import (
     arch_proximity,
     newton_polygon_valuations,
     orbit_shift_poly,
+    pairing_value,
 )
 
 #: finite-place proximity integrals vanish by good reduction
@@ -139,47 +134,51 @@ def _arch_average_mp(orbit: PreperiodicOrbit, beta: Fraction, prec: int) -> floa
         return float(total / orbit.size)
 
 
+def finite_lambda_average(order: int, beta, p: int) -> float:
+    """(1/|P|) sum over the order-N orbit of lambda_{sigma(alpha), p}(beta).
+
+    Exact: every conjugate is integral, so for p-integral beta each
+    v_p(beta - sigma(alpha)) is >= 0 and they sum to v_p(F_N) of the pairing
+    value; the average is v_p(F_N) log(p) / |P|. When p divides the
+    denominator of beta the chordal distance is 1 at every conjugate and the
+    average is 0.
+    """
+    if isinstance(beta, AlgebraicNumber):
+        if not beta.is_rational:
+            raise DomainError("finite-place orbit averages take a rational beta")
+        beta = beta.as_fraction()
+    beta = Fraction(beta)
+    if padic_valuation(beta, p) < 0:
+        return 0.0
+    v = padic_valuation(pairing_value(order, beta), p)
+    return float(v) * math.log(p) / orbit_size(order)
+
+
 def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH, prec: int | None = None) -> float:
     """(1/|P|) sum over conjugates of lambda_{sigma(alpha), v}(beta).
 
     Archimedean: numeric average over the closed-form conjugates (mpmath
-    escalation when beta crowds one of them). Finite p: exact via the
-    positive Newton-polygon valuations of the cleared psi_N(beta - x),
-    times log(p)/|P|; primes dividing the denominator of beta contribute
-    nothing (chordal distance 1 there).
+    escalation when beta crowds one of them). Finite p: exact, read off the
+    pairing value (``finite_lambda_average``).
     """
+    if not place.is_archimedean:
+        return finite_lambda_average(orbit.order, beta, place.p)
     if isinstance(beta, AlgebraicNumber) and beta.is_rational:
         beta = beta.as_fraction()
-    if place.is_archimedean:
-        if isinstance(beta, AlgebraicNumber):
-            b = beta.embedding.value
-            if b.imag == 0:
-                b = b.real
-            avg, gap = _arch_average_float(orbit, b)
-            if gap < 1e-7:
-                raise DomainError("algebraic beta too close to a conjugate for the float path")
-            return avg
-        beta = Fraction(beta)
-        if orbit_value(orbit.order, beta) == 0:
-            raise PreperiodicInputError("beta is a conjugate of the orbit")
-        avg, gap = _arch_average_float(orbit, float(beta))
-        if prec is None and gap > 1e-6:
-            return avg
-        return _arch_average_mp(orbit, beta, prec or 128)
-    p = place.p
     if isinstance(beta, AlgebraicNumber):
-        raise DomainError("finite-place orbit averages take a rational beta")
+        b = beta.embedding.value
+        if b.imag == 0:
+            b = b.real
+        avg, gap = _arch_average_float(orbit, b)
+        if gap < 1e-7:
+            raise DomainError("algebraic beta too close to a conjugate for the float path")
+        return avg
     beta = Fraction(beta)
-    if padic_valuation(beta, p) < 0:
-        return 0.0
-    f_val = orbit_value(orbit.order, beta)
-    if f_val == 0:
-        raise PreperiodicInputError("beta is a conjugate of the orbit")
-    if f_val % p:
-        return 0.0
-    vals = newton_polygon_valuations(orbit_shift_poly(orbit, beta), p)
-    pos = sum(v for v in vals if v is not math.inf and v > 0)
-    return float(pos) * math.log(p) / orbit.size
+    pairing_value(orbit.order, beta)  # rejects a beta in the orbit
+    avg, gap = _arch_average_float(orbit, float(beta))
+    if prec is None and gap > 1e-6:
+        return avg
+    return _arch_average_mp(orbit, beta, prec or 128)
 
 
 @dataclass(frozen=True)
@@ -209,9 +208,7 @@ def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -
     primes their zero contribution.
     """
     beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-    f_val = orbit_value(orbit.order, beta)
-    if f_val == 0:
-        raise PreperiodicInputError("beta is a conjugate of the orbit")
+    f_val = pairing_value(orbit.order, beta)
     arch = _arch_average_mp(orbit, beta, prec)
     with mp.workprec(prec):
         finite = float(mp.log(abs(mp.mpf(f_val))) / orbit.size) if abs(f_val) > 1 else 0.0
@@ -311,11 +308,6 @@ def discrepancy(
     )
 
 
-def discrepancy_scan(beta, orders, place: Place = ARCH) -> list[DiscrepancyRecord]:
-    """Discrepancy records for a batch of orbit orders (no bound constants)."""
-    return [discrepancy(preperiodic_orbit(n), beta, place) for n in orders]
-
-
 def conjugates_fast(n: int) -> np.ndarray:
     """Conjugate values 2 cos(2 pi a / n), gcd(a,n)=1, without building the
     orbit object (no minimal polynomial; used by large scans)."""
@@ -397,9 +389,7 @@ def az_pairing_estimate(beta, n_max: int, min_size: int = 1, tol: float = 1e-10)
         size = int(x.size)
         if size < min_size:
             continue
-        f_val = orbit_value(n, beta)
-        if f_val == 0:
-            continue
+        f_val = pairing_value(n, beta)
         lam = -np.log(np.abs(x - bf) / (np.maximum(np.abs(x), 1.0) * max(abs(bf), 1.0)))
         arch = float(lam.mean())
         finite = math.log(abs(f_val)) / size if abs(f_val) > 1 else 0.0

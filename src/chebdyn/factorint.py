@@ -180,16 +180,3 @@ def strip_primes(n: int, primes) -> int:
             n //= p
     return n
 
-
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of |n| > 1 (full factorization fallback)."""
-    n = abs(n)
-    if n <= 1:
-        raise DomainError("need |n| > 1")
-    for p in _small_primes():
-        p = int(p)
-        if p * p > n:
-            return n
-        if n % p == 0:
-            return p
-    return min(factorize(n))

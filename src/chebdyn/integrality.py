@@ -4,14 +4,18 @@ Every per-place quantity uses the plain absolute value of the place (the
 ordinary one at infinity, |p|_p = 1/p at a finite prime); number-field
 normalization weights are absorbed by averaging over the Galois orbit.
 
-The finite-place analysis runs on two independent exact routes that the
-test suite plays against each other:
+The finite-place analysis reads one exact integer, the pairing F_N of the
+order-N orbit against beta (``pairing_value``): s^m psi_N(r/s) for
+beta = r/s, res(psi_N, f_beta) for algebraic beta. The primes meeting the
+orbit are the prime divisors of F_N (away from the leading-coefficient
+primes of f_beta), and for p-integral beta, v_p(F_N) is the sum of the
+valuations v_p(beta - sigma(alpha)) over the conjugates.
 
-  * resultant route: the primes meeting the orbit of zeta_N + 1/zeta_N at
-    beta = r/s are the prime divisors of F = s^m psi_N(r/s);
-  * Newton-polygon route: the p-adic valuations of beta - sigma(alpha) are
-    the root valuations of the denominator-cleared psi_N(beta - x), read
-    off the lower convex hull of (i, v_p(coefficient_i)).
+The Newton polygon of the denominator-cleared psi_N(beta - x) gives those
+valuations one conjugate at a time, read off the lower convex hull of
+(i, v_p(coefficient_i)). It is the route of the near-orbit scan (cor33),
+which needs the largest single valuation, and the test suite's independent
+oracle for the pairing.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
     is_preperiodic_rational,
+    orbit_norm_quadratic,
+    orbit_size,
     orbit_value,
     preperiodic_orbit,
 )
@@ -180,38 +186,50 @@ def local_lambda(x, y, place: Place = ARCH) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_not_conjugate_rational(orbit: PreperiodicOrbit, beta: Fraction) -> int:
-    f_val = orbit_value(orbit.order, beta)
-    if f_val == 0:
-        raise PreperiodicInputError(
-            f"{beta} is a conjugate of the order-{orbit.order} orbit"
-        )
-    return f_val
+def pairing_value(order: int, beta) -> int:
+    """Exact integer pairing F_N of the order-N orbit against beta.
+
+    s^m psi_N(r/s) for rational beta = r/s; res(psi_N, f_beta) for algebraic
+    beta, by the norm recurrence in degree 2 and the generic resultant above.
+    Below degree 3 no psi_N is expanded and the cost is linear in the orbit
+    size. Every orbit consumer reads F_N here, and this is the one place that
+    rejects a beta lying in the orbit (F_N = 0) with PreperiodicInputError.
+    """
+    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
+        if beta.degree == 2:
+            value = orbit_norm_quadratic(order, beta.minpoly)
+        else:
+            value = resultant(preperiodic_orbit(order).minpoly, beta.minpoly)
+    else:
+        beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
+        value = orbit_value(order, beta)
+    if value == 0:
+        what = f"a root of {beta.minpoly}" if isinstance(beta, AlgebraicNumber) else str(beta)
+        raise PreperiodicInputError(f"beta = {what} is a conjugate of the order-{order} orbit")
+    return value
+
+
+def _lead_primes(beta) -> set[int]:
+    """Primes of lead(f_beta) for irrational algebraic beta: above them the
+    orbit is integral while |beta|_w > 1, so the chordal distance is 1 and
+    they never meet the orbit. Denominator primes of a rational beta never
+    divide the pairing at all."""
+    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
+        return set(factor_counts(beta.leading))
+    return set()
 
 
 def meeting_primes(orbit: PreperiodicOrbit, beta) -> dict[int, int]:
     """Primes p where some conjugate pair (sigma(alpha), beta) becomes
     p-adically close, with the total valuation of the pairing as weight.
 
-    For rational beta = r/s this is the factorization support of
-    F = s^m psi_N(r/s); primes dividing s sit at chordal distance 1 and do
-    not appear. For algebraic beta it is the support of res(psi_N, f_beta)
-    away from the primes dividing lead(f_beta) (there the orbit is integral
-    while |beta|_w > 1, so the chordal distance is 1).
+    This is the factorization support of the pairing value F_N
+    (``pairing_value``) away from the leading-coefficient primes of f_beta.
     """
-    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-        if beta.preperiodic_order() == orbit.order:
-            raise PreperiodicInputError("beta lies in the orbit itself")
-        res = resultant(orbit.minpoly, beta.minpoly)
-        if res == 0:
-            raise PreperiodicInputError("beta shares a conjugate with the orbit")
-        counts = factor_counts(res)
-        for p in factor_counts(beta.leading):
-            counts.pop(p, None)
-        return counts
-    beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-    f_val = _check_not_conjugate_rational(orbit, beta)
-    return factor_counts(f_val)
+    counts = factor_counts(pairing_value(orbit.order, beta))
+    for p in _lead_primes(beta):
+        counts.pop(p, None)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -227,9 +245,10 @@ class SIntegralityReport:
 def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegralityReport:
     """Decide whether the orbit is S-integral relative to beta, exactly.
 
-    The verdict only needs divisibility by the finite primes of S, so it is
-    computed by stripping them from the exact pairing value; the witness is
-    a prime factor of what remains.
+    The verdict and the witness (the smallest meeting prime outside S) are
+    read off the full factorization of the pairing value (``meeting_primes``).
+    That is more work than the yes/no verdict needs: stripping the primes of
+    S, as ``scan_orbits`` does, decides it without factoring the cofactor.
     """
     meets = meeting_primes(orbit, beta)
     outside = {p: e for p, e in meets.items() if p not in set(places.finite_primes)}
@@ -244,28 +263,34 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
     )
 
 
-def pairing_value(order: int, beta) -> int:
-    """Exact integer pairing of the order-N orbit against beta.
+def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
+    """The S-integral orbits N <= n_max relative to a wandering beta.
 
-    s^m psi_N(r/s) for rational beta, res(psi_N, f_beta) for algebraic
-    beta. Fast: linear in the orbit size, no polynomial expansion.
+    An orbit is S-integral when its pairing value has no prime factor outside
+    the finite primes of S and the leading-coefficient primes of f_beta, which
+    stripping those primes decides without factoring. Returns (rows,
+    exceptional): one (N, orbit size, {p: v_p(F_N)} over the primes of S that
+    divide F_N) per S-integral orbit, and the number of them whose size
+    exceeds size_threshold.
     """
-    from .chebyshev import orbit_norm_quadratic
-
-    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-        if beta.degree == 2:
-            return orbit_norm_quadratic(order, beta.minpoly)
-        return resultant(preperiodic_orbit(order).minpoly, beta.minpoly)
-    beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-    return orbit_value(order, beta)
-
-
-def s_integral_verdict(order: int, beta, places: PlaceSet, lead_primes=()) -> bool:
-    """Fast exact S-integrality check without factorization."""
-    v = pairing_value(order, beta)
-    if v == 0:
-        raise PreperiodicInputError("beta lies in the orbit")
-    return strip_primes(v, set(places.finite_primes) | set(lead_primes)) == 1
+    s_fin = places.finite_primes
+    strip = set(s_fin) | _lead_primes(beta)
+    rows = []
+    exceptional = 0
+    for n in range(1, n_max + 1):
+        val = pairing_value(n, beta)
+        if strip_primes(val, strip) != 1:
+            continue
+        size = orbit_size(n)
+        meets = {}
+        for p in s_fin:
+            e = padic_valuation(val, p)
+            if e:
+                meets[p] = e
+        rows.append((n, size, meets))
+        if size > size_threshold:
+            exceptional += 1
+    return rows, exceptional
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +411,7 @@ def near_orbit_scan(beta, p: int, n_max: int, eps: float = 0.5) -> NearOrbitRepo
     near = []
     point_count = 0
     for n in range(1, n_max + 1):
-        f_val = orbit_value(n, beta)
-        if f_val % p:
+        if pairing_value(n, beta) % p:
             continue
         orbit = preperiodic_orbit(n)
         vals = [v for v in newton_polygon_valuations(orbit_shift_poly(orbit, beta), p) if v is not math.inf]
@@ -420,22 +444,22 @@ def arch_proximity(orbit: PreperiodicOrbit, beta) -> float:
     """max over conjugates of -log|sigma(alpha) - beta| at the real place.
 
     Escalates the conjugate precision when beta sits inside the float
-    uncertainty of a conjugate; a genuine coincidence raises.
+    uncertainty of a conjugate; a genuine coincidence (zero pairing value)
+    raises.
     """
     if isinstance(beta, AlgebraicNumber):
-        if beta.preperiodic_order() == orbit.order:
-            raise PreperiodicInputError("beta is a conjugate of the orbit")
         b, berr = complex(beta.embedding.value), beta.embedding.error_bound
     else:
         beta = Fraction(beta)
-        _check_not_conjugate_rational(orbit, beta)
         b, berr = complex(beta), abs(float(beta)) * 2e-16
     vals = orbit.conjugates_array()
     gaps = np.abs(vals - b)
     i = int(np.argmin(gaps))
     if gaps[i] > 1e-6 + 8 * berr:
         return float(-math.log(gaps[i]))
-    # conjugate too close for float64: recompute that gap at high precision
+    # conjugate too close for float64: rule out beta being a conjugate
+    # exactly, then recompute that gap at high precision
+    pairing_value(orbit.order, beta)
     for prec in precision_ladder(128):
         c = orbit.conjugate_mp(i, prec)
         with mp.workprec(prec):

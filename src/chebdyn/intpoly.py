@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
@@ -153,11 +152,6 @@ class IntPoly:
             else:
                 terms.append(f"{c}*x^{i}" if c not in (1, -1) else (f"x^{i}" if c == 1 else f"-x^{i}"))
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def poly_from_fraction_root(q: Fraction) -> IntPoly:
-    """den*x - num: the primitive integer polynomial with root q."""
-    return IntPoly.of(-q.numerator, q.denominator)
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:

@@ -41,7 +41,7 @@ from chebdyn.chebyshev import (
     minpoly_identity_mod,
     minpoly_spot_checks,
 )
-from chebdyn.cli import _scan_orbits, _sample_betas
+from chebdyn.cli import _sample_betas
 from chebdyn.equidist import (
     arch_discrepancy_fast,
     az_pairing_estimate,
@@ -51,7 +51,7 @@ from chebdyn.equidist import (
     total_lambda_identity_check,
 )
 from chebdyn.factorint import primes_upto, strip_primes
-from chebdyn.integrality import ARCH, newton_polygon_valuations, orbit_shift_poly
+from chebdyn.integrality import ARCH, newton_polygon_valuations, orbit_shift_poly, scan_orbits
 from chebdyn.numerics import ApproxComplex
 from chebdyn.roots import complex_roots
 
@@ -341,7 +341,7 @@ def test_criterion_10_uniform_count():
     worst_beta = None
     for sb in betas:
         threshold = 2.0 * sb.degree**12
-        _, exceptional = _scan_orbits(sb.value, places, 2000, threshold)
+        _, exceptional = scan_orbits(sb.value, places, 2000, threshold)
         if exceptional > worst:
             worst, worst_beta = exceptional, sb.label
     ok = worst <= 2

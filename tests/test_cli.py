@@ -230,3 +230,20 @@ def test_cubic_beta_imports_sympy_lazily():
     _, [[code, out]], sympy_loaded = _fresh_run("plain", [["height", "--beta", "poly:-2,0,0,1"]])
     assert code == 0 and sympy_loaded
     assert json.loads(out)["results"]["degree"] == 3
+
+
+def test_bench_tracer_resolves_traced_names(tmp_path):
+    # the tracer wraps functions by name and rebinds module globals, so it
+    # runs in its own interpreter; a renamed traced function breaks it here
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = ["equidist", "--beta=97/89", "--place=5", "--Nmax=30"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracing.py"), str(spans), "0", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert "integrality.pairing_value" in names

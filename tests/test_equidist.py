@@ -12,6 +12,7 @@ from chebdyn import (
     az_pairing_estimate,
     discrepancy,
     equilibrium_potential,
+    finite_lambda_average,
     lambda_integral,
     log_plus_integral,
     orbit_lambda_average,
@@ -25,6 +26,7 @@ from chebdyn.equidist import (
     measure_invariance_gap,
     quadrature_potential,
 )
+from chebdyn.integrality import newton_polygon_valuations, orbit_shift_poly
 
 
 def test_potential_examples():
@@ -83,6 +85,33 @@ def test_orbit_lambda_average_examples():
     assert abs(avg - 0.14027056479872602) < 1e-12
     assert abs(orbit_lambda_average(o5, 3, Place(11)) - math.log(11) / 2) < 1e-14
     assert abs(orbit_lambda_average(preperiodic_orbit(1), 10) - math.log(20 / 8)) < 1e-14
+
+
+def test_finite_lambda_average_matches_newton_polygon():
+    # oracle: the positive root valuations of the cleared psi_N(beta - x),
+    # summed per conjugate; the exact route reads v_p of the pairing instead
+    rng = random.Random(53)
+    primes = (2, 3, 5, 7, 11)
+    betas = []
+    while len(betas) < 30:
+        den = rng.choice((1, 2, 3, 4, 5, 7, 9, 10, 11, 21, 25, 77, 97))
+        beta = Fraction(rng.randint(-300, 300), den)
+        if abs(beta) > 2 or beta.denominator > 1:
+            betas.append(beta)
+    nonzero = denominator_cases = 0
+    for beta in betas:
+        for n in range(1, 121):
+            orbit = preperiodic_orbit(n)
+            g = orbit_shift_poly(orbit, beta)
+            for p in primes:
+                vals = newton_polygon_valuations(g, p)
+                pos = sum(v for v in vals if v is not math.inf and v > 0)
+                want = float(pos) * math.log(p) / orbit.size
+                got = finite_lambda_average(n, beta, p)
+                assert repr(got) == repr(want), (beta, n, p)
+                nonzero += want > 0
+                denominator_cases += beta.denominator % p == 0
+    assert nonzero > 300 and denominator_cases > 1000  # 442 and 3240 of 18000
 
 
 def test_identity_examples():

@@ -25,8 +25,8 @@ from chebdyn import (
     root_of_unity_valuation,
 )
 from chebdyn.errors import CoincidentPointsError
-from chebdyn.factorint import primes_upto
-from chebdyn.integrality import orbit_shift_poly, s_integral_verdict
+from chebdyn.factorint import primes_upto, strip_primes
+from chebdyn.integrality import orbit_shift_poly, pairing_value
 
 
 def test_place_validation():
@@ -103,6 +103,20 @@ def test_meeting_primes_rejects_conjugate():
         meeting_primes(preperiodic_orbit(4), 0)
     with pytest.raises(PreperiodicInputError):
         meeting_primes(preperiodic_orbit(6), 1)
+
+
+def test_pairing_value_rejects_beta_in_the_orbit():
+    # one beta per route: the rational recurrence, the quadratic norm
+    # recurrence (golden ratio, order 10), the generic resultant (psi_7)
+    cases = (
+        (Fraction(1), 6),
+        (algebraic_number([-1, -1, 1]), 10),
+        (algebraic_number([-1, -2, 1, 1]), 7),
+    )
+    for beta, order in cases:
+        with pytest.raises(PreperiodicInputError, match=f"order-{order} orbit") as err:
+            pairing_value(order, beta)
+        assert "AlgebraicNumber" not in str(err.value)
 
 
 def test_meeting_primes_algebraic_excludes_lead():
@@ -189,8 +203,7 @@ def test_two_sided_integrality_symmetry():
         count += 1
         orbit = preperiodic_orbit(n)
         primes = tuple(rng.sample(primes_upto(60), 3))
-        places = PlaceSet.of(*primes)
-        verdict = s_integral_verdict(n, beta, places)
+        verdict = strip_primes(pairing_value(n, beta), primes) == 1
         meets = meeting_primes(orbit, beta)
         outside = sorted(q for q in meets if q not in primes)
         assert verdict == (not outside)

@@ -1,9 +1,11 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from chebdyn import DomainError, IntPoly, complex_roots
+from chebdyn.cli import main
 from chebdyn.errors import PrecisionError
 from chebdyn.roots import is_squarefree
 
@@ -14,6 +16,22 @@ def test_quadratic_formula_oracle():
     assert abs(roots[0].value - (-golden - 1)) <= roots[0].error_bound + 1e-15
     assert abs(roots[1].value - golden) <= roots[1].error_bound + 1e-15
     assert all(r.error_bound <= 1e-12 for r in roots)
+
+
+def test_large_root_certifies_with_covering_bound(capsys):
+    # a root near 1.54e4: its float64 rounding term (|z| + 1) * 2^-52 alone
+    # exceeds 1e-12, so it may not block certification, but it stays in the
+    # returned bound, which must cover the exact quadratic-formula root
+    c, b, a = 332161872, -565306365, 36685
+    assert main(["height", f"--beta=poly:{c},{b},{a}"]) == 0
+    capsys.readouterr()
+    roots = complex_roots(IntPoly.of(c, b, a))
+    with mp.workdps(60):
+        disc = mp.sqrt(b * b - 4 * a * c)
+        exact = [(-b - disc) / (2 * a), (-b + disc) / (2 * a)]
+        for r, x in zip(roots, exact):
+            assert abs(mp.mpc(r.value) - x) <= r.error_bound
+    assert abs(roots[1].value) > 1.5e4
 
 
 def test_linear_and_gaussian():
