@@ -37,6 +37,7 @@ from .equidist import (
     PairingEstimate,
     az_pairing_estimate,
     discrepancy,
+    equidist_rows,
     equilibrium_potential,
     finite_lambda_average,
     fitted_slope,
@@ -59,12 +60,14 @@ from .heights import (
     canonical_height_closed_form,
     dobrowolski_floor,
     orbit_generator_height,
+    sample_betas,
     weil_height_algebraic,
     weil_height_rational,
 )
 from .integrality import (
     ARCH,
     INFINITY,
+    PairingSieve,
     Place,
     PlaceSet,
     SIntegralityReport,

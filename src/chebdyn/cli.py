@@ -16,7 +16,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, algebraic_number
@@ -28,12 +27,10 @@ from .chebyshev import (
     minpoly_conjugate_residuals,
     minpoly_identity_mod,
     minpoly_spot_checks,
-    orbit_size,
     preperiodic_orbit,
 )
 from .equidist import (
-    arch_discrepancy_fast,
-    finite_lambda_average,
+    equidist_rows,
     fitted_slope,
     lambda_integral,
     log_plus_integral,
@@ -43,6 +40,7 @@ from .factorint import euler_phi, is_prime
 from .heights import (
     canonical_height,
     dobrowolski_floor,
+    sample_betas,
     weil_height_algebraic,
     weil_height_rational,
 )
@@ -93,6 +91,14 @@ def parse_beta(text: str):
         raise UsageError(f"malformed beta {text!r}") from None
 
 
+def finite_float(text: str) -> float:
+    """A float flag's value; inf and nan would make the report non-JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_places(text: str) -> PlaceSet:
     try:
         ps = PlaceSet.parse(text)
@@ -121,7 +127,10 @@ def _beta_label(beta) -> str:
 
 
 def _emit(report, args, csv_payload=None):
-    text = write_json(report, args.output)
+    try:
+        text = write_json(report, args.output)
+    except ValueError as exc:  # finite flags can still overflow a result
+        raise UsageError(f"the report would not be strict JSON: {exc}") from None
     if args.output is None:
         sys.stdout.write(text)
     if csv_payload is not None and getattr(args, "csv", None):
@@ -314,15 +323,7 @@ def cmd_equidist(args):
         orders = [n for n in orders if is_prime(n) and n >= args.Nmin]
     else:
         orders = [n for n in orders if n >= args.Nmin]
-    rows = []
-    for n in orders:
-        if place.is_archimedean:
-            rec = arch_discrepancy_fast(beta, n)
-            rows.append((rec.orbit_order, rec.orbit_size, rec.discrepancy))
-        else:
-            # the finite-place integral vanishes, so the discrepancy is the
-            # (nonnegative) orbit average itself
-            rows.append((n, orbit_size(n), finite_lambda_average(n, beta, place.p)))
+    rows = equidist_rows(beta, place, orders)
     sizes = [size for _, size, _ in rows if size > 1]
     discs = [d for _, size, d in rows if size > 1]
     slope = fitted_slope(sizes, discs) if len(sizes) > 4 else 0.0
@@ -432,53 +433,11 @@ def cmd_cor33(args):
     return _emit(report, args)
 
 
-@dataclass
-class _SampledBeta:
-    label: str
-    value: object
-    degree: int
-    height: float
-
-
-def _sample_betas(rng: random.Random, trials: int, height_cap: float, degree_cap: int):
-    """Deterministic mixed sample of rational and quadratic wandering points."""
-    out: list[_SampledBeta] = []
-    bound = max(3, int(math.exp(height_cap)))
-    while len(out) < trials:
-        want_quadratic = degree_cap >= 2 and rng.random() < 0.5
-        if not want_quadratic:
-            num = rng.randint(-bound, bound)
-            den = rng.randint(1, bound)
-            q = Fraction(num, den)
-            if is_preperiodic_rational(q) or q == 0:
-                continue
-            if weil_height_rational(q).value > height_cap + 1e-9:
-                continue
-            out.append(_SampledBeta(str(q), q, 1, weil_height_rational(q).value))
-        else:
-            a = rng.randint(1, 6)
-            b = rng.randint(-12, 12)
-            c = rng.randint(-12, 12)
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            try:
-                beta = algebraic_number([c, b, a], 0)
-            except ChebdynError:
-                continue  # reducible
-            if beta.is_preperiodic:
-                continue
-            h = weil_height_algebraic(beta).value
-            if h > height_cap + 1e-9:
-                continue
-            out.append(_SampledBeta(f"poly:{c},{b},{a}@0", beta, 2, h))
-    return out
-
-
 def cmd_theorem2(args):
     places = parse_places(args.S)
     s_fin = places.finite_primes
     rng = random.Random(args.seed)
-    betas = _sample_betas(rng, args.trials, args.height_cap, args.Dcap)
+    betas = sample_betas(rng, args.trials, args.height_cap, args.Dcap)
     per_beta = []
     worst = 0
     for sb in betas:
@@ -578,7 +537,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("canonical-height", help="canonical height by iteration, with the h vs h_phi gap")
     p.add_argument("--beta", required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=finite_float, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_canonical_height)
 
@@ -593,7 +552,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", required=True)
     p.add_argument("--S", required=True)
     p.add_argument("--Nmax", type=int, required=True)
-    p.add_argument("--size-constant", type=float, default=DEFAULT_SIZE_CONSTANT,
+    p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT,
                    help="c in the exceptional-orbit size cutoff c*D^12")
     common(p)
     p.set_defaults(func=cmd_scan)
@@ -604,21 +563,21 @@ def build_parser() -> _Parser:
     p.add_argument("--Nmin", type=int, default=1)
     p.add_argument("--place", default="inf")
     p.add_argument("--primes-only", action="store_true")
-    p.add_argument("--slope-bound", type=float, default=None,
+    p.add_argument("--slope-bound", type=finite_float, default=None,
                    help="emit a pass/fail check on the fitted log-log slope")
     common(p)
     p.set_defaults(func=cmd_equidist)
 
     p = sub.add_parser("baker", help="two-log lower bound along CF convergents of the angle")
     p.add_argument("--beta", required=True, help="poly:... algebraic point on the unit circle")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--ceps", type=float, default=None,
+    p.add_argument("--eps", type=finite_float, default=0.1)
+    p.add_argument("--ceps", type=finite_float, default=None,
                    help="override the assembled explicit constant")
     p.add_argument("--Nmax", type=int, default=10000)
     p.add_argument("--prox-Nmax", type=int, default=0,
                    help="also check the per-orbit proximity bound up to this order")
-    p.add_argument("--prox-eps", type=float, default=0.5)
-    p.add_argument("--prox-ceps", type=float, default=4.0)
+    p.add_argument("--prox-eps", type=finite_float, default=0.5)
+    p.add_argument("--prox-ceps", type=finite_float, default=4.0)
     common(p)
     p.set_defaults(func=cmd_baker)
 
@@ -626,19 +585,19 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--Nmax", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--eps", type=finite_float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_cor33)
 
     p = sub.add_parser("theorem2", help="seeded uniform-count experiment over sampled beta")
     p.add_argument("--S", required=True)
     p.add_argument("--Dcap", type=int, default=2)
-    p.add_argument("--height-cap", type=float, default=math.log(100))
+    p.add_argument("--height-cap", type=finite_float, default=math.log(100))
     p.add_argument("--Nmax", type=int, default=2000)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--size-constant", type=float, default=DEFAULT_SIZE_CONSTANT)
-    p.add_argument("--dobrowolski-c", type=float, default=0.25)
+    p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT)
+    p.add_argument("--dobrowolski-c", type=finite_float, default=0.25)
     common(p)
     p.set_defaults(func=cmd_theorem2)
 

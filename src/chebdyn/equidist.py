@@ -32,6 +32,7 @@ from .heights import (
 )
 from .integrality import (
     ARCH,
+    PairingSieve,
     Place,
     arch_proximity,
     newton_polygon_valuations,
@@ -320,12 +321,22 @@ def conjugates_fast(n: int) -> np.ndarray:
     return 2.0 * np.cos(2.0 * np.pi * a / n)
 
 
-def arch_discrepancy_fast(beta, n: int) -> DiscrepancyRecord:
-    """Archimedean discrepancy record via the closed-form conjugates only."""
-    b = float(Fraction(beta)) if isinstance(beta, (int, Fraction)) else float(beta)
+def arch_discrepancy_fast(sieve: PairingSieve, n: int) -> DiscrepancyRecord:
+    """Archimedean discrepancy record of the order-n orbit against sieve.beta,
+    via the closed-form conjugates and the product formula.
+
+    lambda summed over every place and averaged over the orbit is
+    h(beta) + h(alpha_n) (``total_lambda_identity_check``), and the finite
+    places add up to log|F_n| / |P| exactly, so the real-place average is
+    h(beta) + h(alpha_n) - log|F_n| / |P|, with h(alpha_n) the mean of
+    log max(|x|, 1) over the conjugates x. No term divides by a gap
+    |x - beta|, so a beta crowding a conjugate costs no accuracy, where a
+    float64 mean of the lambdas is off by up to ORBIT_COS_ERROR / gap.
+    """
+    beta = sieve.beta
     x = conjugates_fast(n)
-    lam = -np.log(np.abs(x - b) / (np.maximum(np.abs(x), 1.0) * max(abs(b), 1.0)))
-    avg = float(lam.mean())
+    h_alpha = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
+    avg = weil_height_rational(beta).value + h_alpha - sieve.log_abs(n) / x.size
     integral = lambda_integral(beta, ARCH)
     return DiscrepancyRecord(
         orbit_order=n,
@@ -337,6 +348,25 @@ def arch_discrepancy_fast(beta, n: int) -> DiscrepancyRecord:
         bound_rhs=None,
         hypothesis_holds=None,
     )
+
+
+def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
+    """(N, orbit size, discrepancy) for each order N in orders, rational beta.
+
+    One ``PairingSieve`` pass to max(orders) serves every row. At a finite
+    place p the integral vanishes, so the discrepancy is the orbit average
+    v_p(F_N) log(p) / |P| itself (``finite_lambda_average``; v_p(F_N) = 0
+    when p divides the denominator of beta).
+    """
+    if not orders:
+        return []
+    primes = () if place.is_archimedean else (place.p,)
+    sieve = PairingSieve(beta, max(orders), primes)
+    if place.is_archimedean:
+        recs = [arch_discrepancy_fast(sieve, n) for n in orders]
+        return [(rec.orbit_order, rec.orbit_size, rec.discrepancy) for rec in recs]
+    p = place.p
+    return [(n, orbit_size(n), float(sieve.valuation(n, p)) * math.log(p) / orbit_size(n)) for n in orders]
 
 
 def fitted_slope(sizes, discrepancies) -> float:

@@ -12,15 +12,16 @@ serve as an independent oracle in the tests.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 import mpmath as mp
 
-from .algebraic import AlgebraicNumber
+from .algebraic import AlgebraicNumber, algebraic_number
 from .chebyshev import ChebMap, cheb_eval, is_preperiodic_rational
-from .errors import DomainError, PrecisionError
+from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import precision_ladder
 from .roots import complex_roots
 
@@ -289,3 +290,46 @@ def canonical_height_closed_form(x, prec: int = 80) -> float:
             return float(log_q)
         w = (ax + mp.sqrt(ax * ax - 4)) / 2
         return float(log_q + mp.log(w))
+
+
+@dataclass(frozen=True)
+class SampledBeta:
+    label: str
+    value: object
+    degree: int
+    height: float
+
+
+def sample_betas(rng: random.Random, trials: int, height_cap: float, degree_cap: int) -> list[SampledBeta]:
+    """Deterministic mixed sample of rational and quadratic wandering points
+    of Weil height at most height_cap (the uniform-count experiment's draw)."""
+    out: list[SampledBeta] = []
+    bound = max(3, int(math.exp(height_cap)))
+    while len(out) < trials:
+        want_quadratic = degree_cap >= 2 and rng.random() < 0.5
+        if not want_quadratic:
+            num = rng.randint(-bound, bound)
+            den = rng.randint(1, bound)
+            q = Fraction(num, den)
+            if is_preperiodic_rational(q) or q == 0:
+                continue
+            if weil_height_rational(q).value > height_cap + 1e-9:
+                continue
+            out.append(SampledBeta(str(q), q, 1, weil_height_rational(q).value))
+        else:
+            a = rng.randint(1, 6)
+            b = rng.randint(-12, 12)
+            c = rng.randint(-12, 12)
+            if math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            try:
+                beta = algebraic_number([c, b, a], 0)
+            except ChebdynError:
+                continue  # reducible
+            if beta.is_preperiodic:
+                continue
+            h = weil_height_algebraic(beta).value
+            if h > height_cap + 1e-9:
+                continue
+            out.append(SampledBeta(f"poly:{c},{b},{a}@0", beta, 2, h))
+    return out

@@ -9,7 +9,9 @@ order-N orbit against beta (``pairing_value``): s^m psi_N(r/s) for
 beta = r/s, res(psi_N, f_beta) for algebraic beta. The primes meeting the
 orbit are the prime divisors of F_N (away from the leading-coefficient
 primes of f_beta), and for p-integral beta, v_p(F_N) is the sum of the
-valuations v_p(beta - sigma(alpha)) over the conjugates.
+valuations v_p(beta - sigma(alpha)) over the conjugates. Scans over every
+N <= Nmax with rational beta read log|F_N| and v_p(F_N) from one recurrence
+pass instead (``PairingSieve``).
 
 The Newton polygon of the denominator-cleared psi_N(beta - x) gives those
 valuations one conjugate at a time, read off the lower convex hull of
@@ -30,6 +32,7 @@ import numpy as np
 from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
+    distinct_primes,
     is_preperiodic_rational,
     orbit_norm_quadratic,
     orbit_size,
@@ -263,31 +266,119 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
     )
 
 
+#: F_N is S-integral iff log|F_N| - sum_{p in S} v_p(F_N) log p, the log of
+#: its integer cofactor away from S, is below this cutoff: the cofactor is 1
+#: (log 0) or at least 2 (log 0.693). The float error is far smaller: log|F_N|
+#: is half a sum of at most tau(N) terms +-log|G_d| (``PairingSieve``), each
+#: math.log of an exact integer with relative error below 2^-50, so it is off
+#: by at most tau(N) max_d log|G_d| 2^-50, and the S-part adds |S| products
+#: v_p log p rounded as finely. That stays below 1e-6 while
+#: tau(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of 180 MB), so the
+#: verdict is exact.
+COFACTOR_LOG_CUTOFF = 0.34
+
+
+def _moebius_divisors(n: int) -> list[tuple[int, int]]:
+    """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0."""
+    terms = [(n, 1)]
+    for p in distinct_primes(n):
+        terms += [(d // p, -mu) for d, mu in terms]
+    return terms
+
+
+class PairingSieve:
+    """log|F_N| and v_p(F_N) for every N <= n_max and rational beta = r/s.
+
+    One pass of Q_0 = 2, Q_1 = r, Q_{d+1} = r Q_d - s^2 Q_{d-1} (so Q_d =
+    s^d T_d(beta)) gives G_d = 2 s^d - Q_d = s^d (2 - T_d(beta)). As
+    2 - T_d(w + 1/w) = -(w^d - 1)^2 / w^d splits over the orders e | d,
+    G_d = -F_1 F_2^[2 | d] prod_{3 <= e | d} F_e^2, and Moebius inversion
+    gives prod_{d | N} G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2:
+    the divisor-product form of cyclotomic values (Arnold & Monagan,
+    Math. Comp. 80, 2011). Only log|G_d| and v_p(G_d) for the given primes
+    are kept, so the sign of F_N is lost; every reader is sign-free. The
+    cost is one recurrence to n_max plus a divisor sum per N, against a
+    pairing recurrence per N for ``pairing_value``.
+
+    G_d = 0 exactly when T_d(beta) = 2, that is when beta lies in an orbit
+    of order dividing d; the first such d is that order, and it is rejected
+    with PreperiodicInputError as ``pairing_value`` rejects it.
+    """
+
+    def __init__(self, beta, n_max: int, primes=()):
+        beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
+        r, s = beta.numerator, beta.denominator
+        self.beta = beta
+        log_g = [0.0] * (n_max + 1)
+        val_g = {p: [0] * (n_max + 1) for p in primes}
+        s2 = s * s
+        two_sd, q_prev, q = 2, 2, r
+        for d in range(1, n_max + 1):
+            two_sd *= s
+            g = two_sd - q
+            if g == 0:
+                raise PreperiodicInputError(f"beta = {beta} is a conjugate of the order-{d} orbit")
+            log_g[d] = math.log(abs(g))
+            for p, vals in val_g.items():
+                if g % p == 0:
+                    vals[d] = padic_valuation(g, p)
+            q_prev, q = q, r * q - s2 * q_prev
+        self._log = [0.0] * (n_max + 1)
+        self._val = {p: [0] * (n_max + 1) for p in primes}
+        for n in range(1, n_max + 1):
+            terms = _moebius_divisors(n)
+            half = 2 if n >= 3 else 1
+            self._log[n] = sum(mu * log_g[d] for d, mu in terms) / half
+            for p, vals in val_g.items():
+                self._val[p][n] = sum(mu * vals[d] for d, mu in terms) // half
+
+    def log_abs(self, n: int) -> float:
+        """log|F_n|."""
+        return self._log[n]
+
+    def valuation(self, n: int, p: int) -> int:
+        """v_p(F_n) for one of the sieve's primes."""
+        return self._val[p][n]
+
+
 def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
     """The S-integral orbits N <= n_max relative to a wandering beta.
 
     An orbit is S-integral when its pairing value has no prime factor outside
-    the finite primes of S and the leading-coefficient primes of f_beta, which
-    stripping those primes decides without factoring. Returns (rows,
-    exceptional): one (N, orbit size, {p: v_p(F_N)} over the primes of S that
-    divide F_N) per S-integral orbit, and the number of them whose size
-    exceeds size_threshold.
+    the finite primes of S and the leading-coefficient primes of f_beta.
+    Rational beta reads that off one ``PairingSieve`` (the cofactor of F_N
+    away from S has log below COFACTOR_LOG_CUTOFF); algebraic beta strips
+    those primes from each ``pairing_value``, without factoring. Returns
+    (rows, exceptional): one (N, orbit size, {p: v_p(F_N)} over the primes of
+    S that divide F_N) per S-integral orbit, and the number of them whose
+    size exceeds size_threshold.
     """
     s_fin = places.finite_primes
-    strip = set(s_fin) | _lead_primes(beta)
+    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
+        strip = set(s_fin) | _lead_primes(beta)
+
+        def s_valuations(n):
+            val = pairing_value(n, beta)
+            if strip_primes(val, strip) != 1:
+                return None
+            return [padic_valuation(val, p) for p in s_fin]
+    else:
+        sieve = PairingSieve(beta, n_max, s_fin)
+        logs = [math.log(p) for p in s_fin]
+
+        def s_valuations(n):
+            vals = [sieve.valuation(n, p) for p in s_fin]
+            cofactor = sieve.log_abs(n) - sum(v * lp for v, lp in zip(vals, logs))
+            return vals if cofactor < COFACTOR_LOG_CUTOFF else None
+
     rows = []
     exceptional = 0
     for n in range(1, n_max + 1):
-        val = pairing_value(n, beta)
-        if strip_primes(val, strip) != 1:
+        vals = s_valuations(n)
+        if vals is None:
             continue
         size = orbit_size(n)
-        meets = {}
-        for p in s_fin:
-            e = padic_valuation(val, p)
-            if e:
-                meets[p] = e
-        rows.append((n, size, meets))
+        rows.append((n, size, {p: e for p, e in zip(s_fin, vals) if e}))
         if size > size_threshold:
             exceptional += 1
     return rows, exceptional
@@ -398,10 +489,13 @@ def near_orbit_scan(beta, p: int, n_max: int, eps: float = 0.5) -> NearOrbitRepo
     """Scan orbits N <= n_max for points with v_p(beta - alpha) > 2/(p-1).
 
     Only orbits whose pairing value is divisible by p can carry a positive
-    valuation, so the Newton polygon is computed for those alone.
+    valuation, so the Newton polygon is computed for those alone; one
+    ``PairingSieve`` pass finds them.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
     beta = Fraction(beta)
     if is_preperiodic_rational(beta):
         raise PreperiodicInputError(f"{beta} is preperiodic")
@@ -410,8 +504,9 @@ def near_orbit_scan(beta, p: int, n_max: int, eps: float = 0.5) -> NearOrbitRepo
     flagged = []
     near = []
     point_count = 0
+    sieve = PairingSieve(beta, n_max, (p,))
     for n in range(1, n_max + 1):
-        if pairing_value(n, beta) % p:
+        if not sieve.valuation(n, p):
             continue
         orbit = preperiodic_orbit(n)
         vals = [v for v in newton_polygon_valuations(orbit_shift_poly(orbit, beta), p) if v is not math.inf]

@@ -34,7 +34,9 @@ def build_report(tool: str, config: dict, results: dict, checks: list[dict]) -> 
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    """Strict JSON: a non-finite float raises ValueError instead of printing
+    the non-standard tokens Infinity or NaN."""
+    return json.dumps(report, sort_keys=True, indent=2, default=str, allow_nan=False) + "\n"
 
 
 def write_json(report: dict, path: str | None) -> str:

@@ -41,7 +41,6 @@ from chebdyn.chebyshev import (
     minpoly_identity_mod,
     minpoly_spot_checks,
 )
-from chebdyn.cli import _sample_betas
 from chebdyn.equidist import (
     arch_discrepancy_fast,
     az_pairing_estimate,
@@ -51,7 +50,8 @@ from chebdyn.equidist import (
     total_lambda_identity_check,
 )
 from chebdyn.factorint import primes_upto, strip_primes
-from chebdyn.integrality import ARCH, newton_polygon_valuations, orbit_shift_poly, scan_orbits
+from chebdyn.heights import sample_betas
+from chebdyn.integrality import ARCH, PairingSieve, newton_polygon_valuations, orbit_shift_poly, scan_orbits
 from chebdyn.numerics import ApproxComplex
 from chebdyn.roots import complex_roots
 
@@ -258,8 +258,9 @@ def test_criterion_7_equidistribution_decay():
     """Fitted log-log slope <= -0.4 and final discrepancy <= 1e-2 for beta = 3."""
     orders = [int(p) for p in primes_upto(5000) if p >= 100]
     sizes, discs = [], []
+    sieve = PairingSieve(Fraction(3), max(orders))
     for n in orders:
-        rec = arch_discrepancy_fast(Fraction(3), n)
+        rec = arch_discrepancy_fast(sieve, n)
         sizes.append(rec.orbit_size)
         discs.append(rec.discrepancy)
     slope = fitted_slope(sizes, discs)
@@ -335,7 +336,7 @@ def test_criterion_10_uniform_count():
     """S = {inf,2,3}, 50 seeded beta (rational + quadratic, height <= log 100):
     at most |S_fin| = 2 S-integral orbits above the size threshold, N <= 2000."""
     rng = random.Random(1)
-    betas = _sample_betas(rng, 50, math.log(100), 2)
+    betas = sample_betas(rng, 50, math.log(100), 2)
     places = PlaceSet.of(2, 3)
     worst = 0
     worst_beta = None

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from chebdyn.cli import main, parse_beta, parse_places, UsageError
-from chebdyn.reports import load_schema
+from chebdyn.reports import load_schema, report_to_json
 
 
 def run_cli(capsys, *argv):
@@ -157,11 +157,22 @@ def test_exit_code_on_check_failure(capsys):
         ["scan", "--beta", "2", "--S", "inf", "--Nmax", "5"],  # preperiodic beta
         ["height", "--beta", "1/0"],
         ["nonsense"],
+        # non-finite float flags would print Infinity or NaN into the report
+        ["cor33", "--beta=3", "--p=11", "--Nmax=10", "--eps=inf"],
+        ["scan", "--beta=3", "--S=inf,2", "--Nmax=10", "--size-constant=inf"],
+        ["equidist", "--beta=3", "--Nmax=10", "--slope-bound=nan"],
+        ["cor33", "--beta=3", "--p=11", "--Nmax=10", "--eps=5e-324"],  # p log p / eps = inf
+        ["cor33", "--beta=3", "--p=11", "--Nmax=10", "--eps=0"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
     capsys.readouterr()
+
+
+def test_report_to_json_rejects_non_finite():
+    with pytest.raises(ValueError):
+        report_to_json({"results": {"eps": float("inf")}})
 
 
 def test_beta_grammar():
@@ -239,7 +250,7 @@ def test_bench_tracer_resolves_traced_names(tmp_path):
     spans = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    argv = ["equidist", "--beta=97/89", "--place=5", "--Nmax=30"]
+    argv = ["sintegral", "--beta=97/89", "--N=30", "--S=inf,5"]
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "tracing.py"), str(spans), "0", *argv],
         env=env, capture_output=True, text=True, timeout=300,

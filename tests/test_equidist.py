@@ -16,6 +16,7 @@ from chebdyn import (
     lambda_integral,
     log_plus_integral,
     orbit_lambda_average,
+    orbit_size,
     preperiodic_orbit,
     total_lambda_identity_check,
     weil_height_rational,
@@ -23,10 +24,11 @@ from chebdyn import (
 from chebdyn.equidist import (
     DecayConstants,
     arch_discrepancy_fast,
+    equidist_rows,
     measure_invariance_gap,
     quadrature_potential,
 )
-from chebdyn.integrality import newton_polygon_valuations, orbit_shift_poly
+from chebdyn.integrality import PairingSieve, newton_polygon_valuations, orbit_shift_poly
 
 
 def test_potential_examples():
@@ -157,11 +159,36 @@ def test_discrepancy_records():
 
 
 def test_fast_scan_matches_orbit_route():
-    for n in (5, 12, 101):
-        fast = arch_discrepancy_fast(3, n)
-        slow = discrepancy(preperiodic_orbit(n), 3, ARCH)
-        assert abs(fast.discrepancy - slow.discrepancy) < 1e-11
-        assert fast.orbit_size == slow.orbit_size
+    for beta in (Fraction(3), Fraction(97, 89), Fraction(-71, 13)):
+        for n, size, disc in equidist_rows(beta, ARCH, [1, 2, 5, 12, 101]):
+            slow = discrepancy(preperiodic_orbit(n), beta, ARCH)
+            assert abs(disc - slow.discrepancy) < 1e-11
+            assert size == slow.orbit_size
+
+
+def test_finite_equidist_rows_match_single_orbit_kernel():
+    # 7/10: p = 2 and 5 divide the denominator, where every row is 0
+    for beta in (Fraction(97, 89), Fraction(-71, 13), Fraction(7, 10)):
+        for p in (2, 5, 7):
+            rows = equidist_rows(beta, Place(p), range(1, 121))
+            assert rows == [(n, orbit_size(n), finite_lambda_average(n, beta, p)) for n in range(1, 121)]
+
+
+def test_real_place_row_near_a_conjugate():
+    # beta lies 4.5e-10 from a conjugate of the order-387 orbit, where a
+    # float64 mean of the lambdas is off by 1.7e-9; the oracle is that mean
+    # at 60 digits minus the closed-form integral (|beta| < 1, on the support)
+    beta = Fraction(57238241, 1007413503)
+    n = 387
+    rec = arch_discrepancy_fast(PairingSieve(beta, n), n)
+    with mp.workdps(60):
+        b = mp.mpf(beta.numerator) / beta.denominator
+        xs = [2 * mp.cospi(mp.mpf(2 * a) / n) for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
+        avg = mp.fsum(-mp.log(abs(x - b) / max(abs(x), 1)) for x in xs) / len(xs)
+        kappa = 2 / mp.pi * mp.quad(lambda t: mp.log(2 * mp.cos(t)), [0, mp.pi / 3])
+        want = abs(avg - kappa)
+        assert abs(want - mp.mpf("0.131281313394843100")) < 1e-18
+    assert abs(rec.discrepancy - float(want)) < 1e-12
 
 
 def test_az_estimate_consistency():

@@ -26,7 +26,7 @@ from chebdyn import (
 )
 from chebdyn.errors import CoincidentPointsError
 from chebdyn.factorint import primes_upto, strip_primes
-from chebdyn.integrality import orbit_shift_poly, pairing_value
+from chebdyn.integrality import PairingSieve, orbit_shift_poly, pairing_value, scan_orbits
 
 
 def test_place_validation():
@@ -117,6 +117,44 @@ def test_pairing_value_rejects_beta_in_the_orbit():
         with pytest.raises(PreperiodicInputError, match=f"order-{order} orbit") as err:
             pairing_value(order, beta)
         assert "AlgebraicNumber" not in str(err.value)
+
+
+def test_pairing_sieve_matches_pairing_value():
+    # seeded rational betas of both signs and heights up to 14 nats, three
+    # with tested primes in the denominator; N <= 300 covers N = 1 and 2
+    rng = random.Random(11)
+    primes = (2, 3, 5, 7, 11, 13)
+    betas = [Fraction(-97, 89), Fraction(5, 12), Fraction(-7, 390)]
+    while len(betas) < 12:
+        big = round(math.exp(rng.uniform(1.1, 14.0)))
+        small = rng.randint(1, big - 1)
+        if math.gcd(big, small) != 1:
+            continue
+        num, den = (big, small) if rng.random() < 0.5 else (small, big)
+        betas.append(Fraction(-num if rng.random() < 0.5 else num, den))
+    assert min(betas) < 0 < max(betas)
+    hits = 0
+    for beta in betas:
+        sieve = PairingSieve(beta, 300, primes)
+        expected_rows = []
+        for n in range(1, 301):
+            f = pairing_value(n, beta)
+            assert abs(sieve.log_abs(n) - math.log(abs(f))) < 1e-9, (beta, n)
+            vals = [padic_valuation(f, p) for p in primes]
+            assert [sieve.valuation(n, p) for p in primes] == vals, (beta, n)
+            hits += any(vals)
+            if strip_primes(f, primes) == 1:
+                expected_rows.append((n, vals))
+        rows, _ = scan_orbits(beta, PlaceSet.of(*primes), 300, 2.0)
+        got = [(n, [meets.get(p, 0) for p in primes]) for n, _, meets in rows]
+        assert got == expected_rows, beta
+    assert hits > 100
+
+
+@pytest.mark.parametrize("beta, order", [(2, 1), (-2, 2), (-1, 3), (0, 4), (1, 6)])
+def test_pairing_sieve_rejects_preperiodic_beta(beta, order):
+    with pytest.raises(PreperiodicInputError, match=f"order-{order} orbit"):
+        PairingSieve(beta, 12)
 
 
 def test_meeting_primes_algebraic_excludes_lead():
