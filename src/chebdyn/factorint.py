@@ -1,6 +1,6 @@
 """Integer factorization, primality, totient and p-adic valuations.
 
-Factorization is deterministic: trial division by all primes up to 10^6,
+Factorization is deterministic: trial division by the primes below 1000,
 then Brent's cycle-finding rho with a fixed parameter sequence. This is
 enough for the resultant-sized integers appearing at desk scale, and the
 fixed schedule keeps every report reproducible.
@@ -12,10 +12,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
 
+#: largest argument of ``primes_upto``
 TRIAL_LIMIT = 10 ** 6
 
 # strong-pseudoprime bases making Miller-Rabin deterministic below 3.3e24
@@ -23,23 +22,23 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> np.ndarray:
-    sieve = np.ones(TRIAL_LIMIT + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(TRIAL_LIMIT ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.nonzero(sieve)[0]
-
-
 def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes; n <= TRIAL_LIMIT."""
     if n < 2:
         return []
-    if n <= TRIAL_LIMIT:
-        ps = _small_primes()
-        return [int(p) for p in ps[ps <= n]]
-    raise DomainError(f"prime table capped at {TRIAL_LIMIT}")
+    if n > TRIAL_LIMIT:
+        raise DomainError(f"prime table capped at {TRIAL_LIMIT}")
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i in range(n + 1) if sieve[i]]
+
+
+#: primes that ``factorize`` divides out before rho; rho finds a factor p in
+#: about sqrt(p) steps, so a longer trial list costs more than it saves
+_TRIAL_PRIMES = primes_upto(1000)
 
 
 def is_prime(n: int) -> bool:
@@ -110,8 +109,7 @@ def factorize(n: int) -> list[int]:
     out: list[int] = []
     if n == 1:
         return out
-    for p in _small_primes():
-        p = int(p)
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

@@ -9,9 +9,11 @@ order-N orbit against beta (``pairing_value``): s^m psi_N(r/s) for
 beta = r/s, res(psi_N, f_beta) for algebraic beta. The primes meeting the
 orbit are the prime divisors of F_N (away from the leading-coefficient
 primes of f_beta), and for p-integral beta, v_p(F_N) is the sum of the
-valuations v_p(beta - sigma(alpha)) over the conjugates. Scans over every
-N <= Nmax with rational beta read log|F_N| and v_p(F_N) from one recurrence
-pass instead (``PairingSieve``).
+valuations v_p(beta - sigma(alpha)) over the conjugates. ``pairing_value``
+serves the single-N callers (``sintegral``, ``meeting_primes``,
+``arch_proximity``). Scans over every N <= Nmax, with beta of any degree,
+read log|F_N| and v_p(F_N) from one recurrence pass instead
+(``PairingSieve``).
 
 The Newton polygon of the denominator-cleared psi_N(beta - x) gives those
 valuations one conjugate at a time, read off the lower convex hull of
@@ -40,7 +42,7 @@ from .chebyshev import (
     preperiodic_orbit,
 )
 from .errors import CoincidentPointsError, DomainError, PrecisionError, PreperiodicInputError
-from .factorint import factor_counts, is_prime, padic_valuation, strip_primes
+from .factorint import factor_counts, is_prime, padic_valuation
 from .intpoly import IntPoly, resultant
 from .numerics import precision_ladder
 
@@ -250,8 +252,9 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
 
     The verdict and the witness (the smallest meeting prime outside S) are
     read off the full factorization of the pairing value (``meeting_primes``).
-    That is more work than the yes/no verdict needs: stripping the primes of
-    S, as ``scan_orbits`` does, decides it without factoring the cofactor.
+    That is more work than the yes/no verdict needs: ``scan_orbits`` decides
+    it from the sieve's log|F_N| and the valuations at S and the lead primes,
+    without factoring the cofactor.
     """
     meets = meeting_primes(orbit, beta)
     outside = {p: e for p, e in meets.items() if p not in set(places.finite_primes)}
@@ -266,15 +269,16 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
     )
 
 
-#: F_N is S-integral iff log|F_N| - sum_{p in S} v_p(F_N) log p, the log of
-#: its integer cofactor away from S, is below this cutoff: the cofactor is 1
-#: (log 0) or at least 2 (log 0.693). The float error is far smaller: log|F_N|
-#: is half a sum of at most tau(N) terms +-log|G_d| (``PairingSieve``), each
-#: math.log of an exact integer with relative error below 2^-50, so it is off
-#: by at most tau(N) max_d log|G_d| 2^-50, and the S-part adds |S| products
-#: v_p log p rounded as finely. That stays below 1e-6 while
-#: tau(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of 180 MB), so the
-#: verdict is exact.
+#: F_N is S-integral iff log|F_N| - sum_p v_p(F_N) log p, the log of its
+#: integer cofactor away from the primes p of S and of lc(f_beta), is below
+#: this cutoff: the cofactor is 1 (log 0) or at least 2 (log 0.693). The
+#: float error is far smaller, at every degree of beta: log|F_N| is half a
+#: sum of at most tau(N) terms +-log|G_d| (``PairingSieve``), each math.log
+#: of an exact integer with relative error below 2^-50, so it is off by at
+#: most tau(N) max_d log|G_d| 2^-50, and the stripped part adds at most
+#: |S| + omega(lc) products v_p log p rounded as finely. That stays below
+#: 1e-6 while tau(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of
+#: 180 MB), so the verdict is exact.
 COFACTOR_LOG_CUTOFF = 0.34
 
 
@@ -286,19 +290,66 @@ def _moebius_divisors(n: int) -> list[tuple[int, int]]:
     return terms
 
 
-class PairingSieve:
-    """log|F_N| and v_p(F_N) for every N <= n_max and rational beta = r/s.
+def _rational_factors(r: int, s: int, n_max: int):
+    """G_d = 2 s^d - Q_d for d = 1..n_max, with Q_d = s^d T_d(r/s) from
+    Q_0 = 2, Q_1 = r, Q_{d+1} = r Q_d - s^2 Q_{d-1}."""
+    s2 = s * s
+    two_sd, q_prev, q = 2, 2, r
+    for _ in range(n_max):
+        two_sd *= s
+        yield two_sd - q
+        q_prev, q = q, r * q - s2 * q_prev
 
-    One pass of Q_0 = 2, Q_1 = r, Q_{d+1} = r Q_d - s^2 Q_{d-1} (so Q_d =
-    s^d T_d(beta)) gives G_d = 2 s^d - Q_d = s^d (2 - T_d(beta)). As
-    2 - T_d(w + 1/w) = -(w^d - 1)^2 / w^d splits over the orders e | d,
-    G_d = -F_1 F_2^[2 | d] prod_{3 <= e | d} F_e^2, and Moebius inversion
-    gives prod_{d | N} G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2:
-    the divisor-product form of cyclotomic values (Arnold & Monagan,
-    Math. Comp. 80, 2011). Only log|G_d| and v_p(G_d) for the given primes
-    are kept, so the sign of F_N is lost; every reader is sign-free. The
-    cost is one recurrence to n_max plus a divisor sum per N, against a
-    pairing recurrence per N for ``pairing_value``.
+
+def _algebraic_factors(f: IntPoly, n_max: int):
+    """G_d = res(2 a^d - Q_d, g) / a^(d (D-1)) for d = 1..n_max.
+
+    a = lc(f), g(y) = a^(D-1) f(y/a) is the monic minimal polynomial of
+    a*beta, and Q_d = a^d T_d(beta) runs as a length-D vector in Z[y]/(g):
+    Q_0 = 2, Q_1 = y, Q_{d+1} = y Q_d - a^2 Q_{d-1}. As g is monic the
+    resultant is prod_j (2 a^d - Q_d(a beta_j)) = a^(dD) prod_j (2 -
+    T_d(beta_j)), so the division is exact. Degree 2 takes the norm of
+    U + V y in closed form, U^2 - g_1 U V + g_0 V^2.
+    """
+    a, deg = f.leading, f.degree
+    monic = f.scaled_monic()
+    g = monic.coeffs
+    a2, a_lift = a * a, a ** (deg - 1)
+    q_prev, q = [2] + [0] * (deg - 1), [0, 1] + [0] * (deg - 2)
+    a_d, scale = 1, 1
+    for _ in range(n_max):
+        a_d *= a
+        scale *= a_lift
+        if deg == 2:
+            u, v = 2 * a_d - q[0], -q[1]
+            norm = u * u - g[1] * u * v + g[0] * v * v
+        else:
+            h = IntPoly.from_coeffs([2 * a_d - q[0], *(-c for c in q[1:])])
+            norm = resultant(h, monic) if not h.is_zero else 0
+        value, rem = divmod(norm, scale)
+        if rem:
+            raise ArithmeticError("pairing sieve lost exactness")  # pragma: no cover
+        yield value
+        top = q[-1]
+        shifted = [-top * g[0]] + [q[i - 1] - top * g[i] for i in range(1, deg)]
+        q_prev, q = q, [y - a2 * x for y, x in zip(shifted, q_prev)]
+
+
+class PairingSieve:
+    """log|F_N| and v_p(F_N) for every N <= n_max and beta of any degree.
+
+    One recurrence pass gives G_d = lc^d Norm(2 - T_d(beta)) for d <= n_max:
+    for rational beta = r/s, G_d = 2 s^d - Q_d with Q_d = s^d T_d(beta)
+    (``_rational_factors``); above degree 1 each G_d is one resultant of
+    degree-D size (``_algebraic_factors``). As 2 - T_d(w + 1/w) = -(w^d -
+    1)^2 / w^d splits over the orders e | d, G_d = +-F_1 F_2^[2 | d]
+    prod_{3 <= e | d} F_e^2, and Moebius inversion gives prod_{d | N}
+    G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2: the divisor-product
+    form of cyclotomic values (Arnold & Monagan, Math. Comp. 80, 2011). Only
+    log|G_d| and v_p(G_d) for the given primes are kept, so the sign of F_N
+    is lost; every reader is sign-free. The cost is one recurrence to n_max
+    plus a divisor sum per N, against a pairing recurrence or resultant per
+    N for ``pairing_value``.
 
     G_d = 0 exactly when T_d(beta) = 2, that is when beta lies in an orbit
     of order dividing d; the first such d is that order, and it is rejected
@@ -306,23 +357,23 @@ class PairingSieve:
     """
 
     def __init__(self, beta, n_max: int, primes=()):
-        beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-        r, s = beta.numerator, beta.denominator
+        if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
+            factors = _algebraic_factors(beta.minpoly, n_max)
+            what = f"a root of {beta.minpoly}"
+        else:
+            beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
+            factors = _rational_factors(beta.numerator, beta.denominator, n_max)
+            what = str(beta)
         self.beta = beta
         log_g = [0.0] * (n_max + 1)
         val_g = {p: [0] * (n_max + 1) for p in primes}
-        s2 = s * s
-        two_sd, q_prev, q = 2, 2, r
-        for d in range(1, n_max + 1):
-            two_sd *= s
-            g = two_sd - q
+        for d, g in enumerate(factors, 1):
             if g == 0:
-                raise PreperiodicInputError(f"beta = {beta} is a conjugate of the order-{d} orbit")
+                raise PreperiodicInputError(f"beta = {what} is a conjugate of the order-{d} orbit")
             log_g[d] = math.log(abs(g))
             for p, vals in val_g.items():
                 if g % p == 0:
                     vals[d] = padic_valuation(g, p)
-            q_prev, q = q, r * q - s2 * q_prev
         self._log = [0.0] * (n_max + 1)
         self._val = {p: [0] * (n_max + 1) for p in primes}
         for n in range(1, n_max + 1):
@@ -345,37 +396,22 @@ def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
     """The S-integral orbits N <= n_max relative to a wandering beta.
 
     An orbit is S-integral when its pairing value has no prime factor outside
-    the finite primes of S and the leading-coefficient primes of f_beta.
-    Rational beta reads that off one ``PairingSieve`` (the cofactor of F_N
-    away from S has log below COFACTOR_LOG_CUTOFF); algebraic beta strips
-    those primes from each ``pairing_value``, without factoring. Returns
-    (rows, exceptional): one (N, orbit size, {p: v_p(F_N)} over the primes of
-    S that divide F_N) per S-integral orbit, and the number of them whose
-    size exceeds size_threshold.
+    the finite primes of S and the leading-coefficient primes of f_beta. One
+    ``PairingSieve`` pass decides that for every N, at every degree of beta,
+    without factoring: the cofactor of F_N away from those primes has log
+    below COFACTOR_LOG_CUTOFF. Returns (rows, exceptional): one (N, orbit
+    size, {p: v_p(F_N)} over the primes of S that divide F_N) per S-integral
+    orbit, and the number of them whose size exceeds size_threshold.
     """
     s_fin = places.finite_primes
-    if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-        strip = set(s_fin) | _lead_primes(beta)
-
-        def s_valuations(n):
-            val = pairing_value(n, beta)
-            if strip_primes(val, strip) != 1:
-                return None
-            return [padic_valuation(val, p) for p in s_fin]
-    else:
-        sieve = PairingSieve(beta, n_max, s_fin)
-        logs = [math.log(p) for p in s_fin]
-
-        def s_valuations(n):
-            vals = [sieve.valuation(n, p) for p in s_fin]
-            cofactor = sieve.log_abs(n) - sum(v * lp for v, lp in zip(vals, logs))
-            return vals if cofactor < COFACTOR_LOG_CUTOFF else None
-
+    stripped = (*s_fin, *sorted(_lead_primes(beta) - set(s_fin)))
+    sieve = PairingSieve(beta, n_max, stripped)
+    logs = [math.log(p) for p in stripped]
     rows = []
     exceptional = 0
     for n in range(1, n_max + 1):
-        vals = s_valuations(n)
-        if vals is None:
+        vals = [sieve.valuation(n, p) for p in stripped]
+        if sieve.log_abs(n) - sum(v * lp for v, lp in zip(vals, logs)) >= COFACTOR_LOG_CUTOFF:
             continue
         size = orbit_size(n)
         rows.append((n, size, {p: e for p, e in zip(s_fin, vals) if e}))

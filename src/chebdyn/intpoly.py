@@ -76,6 +76,14 @@ class IntPoly:
             acc = acc * r + c * spow
         return acc
 
+    def scaled_monic(self) -> "IntPoly":
+        """a^(D-1) f(y/a) with a = lc(f): monic, with roots a times those of
+        f, so for f = f_beta it is the minimal polynomial of a*beta."""
+        if self.degree < 1:
+            raise DomainError("a monic transform needs degree >= 1")
+        a, d = self.leading, self.degree
+        return IntPoly(tuple(c * a ** (d - 1 - i) for i, c in enumerate(self.coeffs[:-1])) + (1,))
+
     def derivative(self) -> "IntPoly":
         return IntPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i)
 

@@ -13,6 +13,8 @@ honest error bounds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import mpmath as mp
 
 from .errors import DomainError, PrecisionError
@@ -43,6 +45,26 @@ def is_squarefree(f: IntPoly) -> bool:
     return resultant(f, f.derivative()) != 0
 
 
+@dataclass(frozen=True)
+class CertifiedRoots:
+    """The roots of a squarefree integer polynomial at working precision
+    ``prec``: the disc of radius radii[i] about roots[i] (mpmath values, in
+    mpmath's root order) holds exactly one root."""
+
+    roots: tuple
+    radii: tuple
+    prec: int
+
+    def floats(self) -> list[ApproxComplex]:
+        """The roots as float64 ApproxComplex, in the deterministic order."""
+        out = []
+        for z, r in zip(self.roots, self.radii):
+            zc = complex(z)
+            out.append(ApproxComplex(zc, float(r) + (abs(zc) + 1.0) * FLOAT_EPS))
+        out.sort(key=lambda a: (a.real, a.imag))
+        return out
+
+
 def complex_roots(f: IntPoly, precision: float = 1e-12) -> list[ApproxComplex]:
     """All complex roots of a squarefree f, certified to ``precision``.
 
@@ -58,16 +80,21 @@ def complex_roots(f: IntPoly, precision: float = 1e-12) -> list[ApproxComplex]:
     PrecisionError (carrying the best achieved bound) if the precision
     ceiling is hit first.
     """
+    return certified_roots(f, precision).floats()
+
+
+def certified_roots(f: IntPoly, precision: float = 1e-12) -> CertifiedRoots:
+    """The roots behind ``complex_roots``, kept at their working precision."""
     if f.is_zero:
         raise DomainError("zero polynomial has no well-defined root set")
     if f.degree == 0:
-        return []
+        return CertifiedRoots((), (), 53)
     if not is_squarefree(f):
         raise DomainError("polynomial must be squarefree (separate the square part first)")
 
     n = f.degree
     coeffs_high = list(reversed(f.coeffs))
-    best: list[ApproxComplex] | None = None
+    best: CertifiedRoots | None = None
     best_bound = mp.inf
     for prec in precision_ladder(64):
         with mp.workprec(prec):
@@ -95,19 +122,13 @@ def complex_roots(f: IntPoly, precision: float = 1e-12) -> list[ApproxComplex]:
             )
             if not disjoint:
                 continue
-            out = []
-            for z, r in zip(roots, radii):
-                zc = complex(z)
-                bound = float(r) + (abs(zc) + 1.0) * FLOAT_EPS
-                out.append(ApproxComplex(zc, bound))
-            out.sort(key=lambda a: (a.real, a.imag))
+            found = CertifiedRoots(tuple(roots), tuple(radii), prec)
             worst = max(radii)
             if worst <= precision:
-                return out
+                return found
             if worst < best_bound:
-                best, best_bound = out, worst
+                best, best_bound = found, worst
     raise PrecisionError(
         f"could not certify roots to {precision:g} within the precision ceiling",
-        best=best,
+        best=best.floats() if best is not None else None,
     )
-

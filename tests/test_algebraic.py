@@ -4,8 +4,9 @@ import random
 import pytest
 import sympy
 
-from chebdyn import DomainError, IntPoly, algebraic_number
+from chebdyn import DomainError, IntPoly, algebraic, algebraic_number, complex_roots
 from chebdyn.algebraic import _is_irreducible
+from chebdyn.roots import CertifiedRoots, certified_roots, is_squarefree
 
 X = sympy.Symbol("x")
 
@@ -48,3 +49,65 @@ def test_degree_two_irreducibility_matches_sympy():
         elif max(abs(c), abs(b), abs(a)) <= 6:  # small roots certify quickly
             beta = algebraic_number([c, b, a])
             assert beta.minpoly.leading > 0 and beta.minpoly == beta.minpoly.primitive()
+
+
+def _factor(rng: random.Random, degree: int, coeff: int) -> IntPoly:
+    return IntPoly.from_coeffs([rng.randint(-coeff, coeff) for _ in range(degree)] + [rng.randint(1, 5)])
+
+
+def _higher_degree_grid() -> list[IntPoly]:
+    """Seeded degree 3-6 polynomials: products of random factors, random
+    (mostly irreducible) ones, non-squarefree, non-primitive and negated
+    ones, and ones with roots above 4.5e3."""
+    rng = random.Random(12)
+    big_root = [IntPoly.of(-4600, 1), IntPoly.of(-14003, 3), IntPoly.of(7, -4800, 1), IntPoly.of(-5, 3, 9001, -2)]
+    grid = [
+        IntPoly.of(1, 1, 1) * IntPoly.of(1, 1, 1),
+        IntPoly.of(-1, 1) * IntPoly.of(-1, 1) * IntPoly.of(2, 1),
+        IntPoly.of(1, 2) * IntPoly.of(1, 2) * IntPoly.of(1, 2),
+        IntPoly.of(-2, 0, 0, 1),
+        IntPoly.of(-1, 0, 0, 1),
+    ]
+    for _ in range(70):
+        degree = rng.randint(3, 6)
+        k = rng.randint(1, degree - 1)
+        grid.append(_factor(rng, k, 9) * _factor(rng, degree - k, 9))
+        grid.append(_factor(rng, degree, 20) * rng.choice([1, 1, 1, 2, 6, -1, -3]))
+    for big in big_root:
+        for _ in range(6):
+            rest = 6 - big.degree if rng.random() < 0.5 else rng.randint(1, 3)
+            grid.append(big * _factor(rng, rest, 9))
+            grid.append(big * _factor(rng, rest, 9) + _factor(rng, big.degree + rest - 1, 3))
+    return [f for f in grid if 3 <= f.degree <= 6]
+
+
+def test_higher_degree_irreducibility_matches_sympy():
+    grid = _higher_degree_grid()
+    verdicts = [sympy.Poly(list(reversed(f.coeffs)), X).is_irreducible for f in grid]
+    assert 80 < verdicts.count(False) < len(grid) - 40
+    assert any(f.content() > 1 for f in grid) and any(f.leading < 0 for f in grid)
+    assert any(not is_squarefree(f) for f in grid)
+    assert sum(max(abs(r.value) for r in complex_roots(f)) > 4.5e3 for f in grid if is_squarefree(f)) > 20
+    for f, irreducible in zip(grid, verdicts):
+        if f.content() > 1 or f.leading < 0:
+            assert _is_irreducible(f) == irreducible, f
+        if irreducible:
+            assert algebraic_number(f.coeffs).minpoly == (f.primitive() if f.leading > 0 else -f.primitive())
+        else:
+            with pytest.raises(DomainError, match="reducible"):
+                algebraic_number(f.coeffs)
+
+
+def test_irreducibility_escalates_a_wide_disc(monkeypatch):
+    # inflated radii still bound the roots, but they leave every coefficient
+    # disc too wide to read, so the test has to recompute finer roots
+    reducible = IntPoly.of(-4600, 1) * IntPoly.of(5, 1, 0, 2)
+    irreducible = reducible + IntPoly.of(1)
+    for f, expected in ((reducible, False), (irreducible, True)):
+        roots = certified_roots(f)
+        wide = CertifiedRoots(roots.roots, tuple(r * 1e16 for r in roots.radii), roots.prec)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(algebraic, "certified_roots", lambda *a: calls.append(a) or certified_roots(*a))
+            assert _is_irreducible(f, wide) == expected
+        assert calls

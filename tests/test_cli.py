@@ -221,6 +221,7 @@ def _fresh_run(mode, argvs):
 
 
 def test_sympy_stays_off_rational_and_quadratic_paths():
+    # the name predates the cubic and quartic cases: no CLI path loads sympy
     argvs = [
         ["orbit", "--N", "7"],
         ["scan", "--beta", "3", "--S", "inf,2,3,5,11", "--Nmax", "12"],
@@ -228,19 +229,28 @@ def test_sympy_stays_off_rational_and_quadratic_paths():
         ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
         ["height", "--beta", "poly:5,-6,5@1"],
         ["theorem2", "--S", "inf,2,3", "--trials", "4", "--Nmax", "60", "--seed", "3", "--Dcap", "2"],
+        ["height", "--beta", "poly:-3,1,2,5@1"],
+        ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"],
+        ["height", "--beta", "poly:2,-1,0,3,2@2"],
+        ["scan", "--beta", "poly:2,-1,0,3,2@2", "--S", "inf,2,3", "--Nmax", "50"],
     ]
     _, blocked, _ = _fresh_run("block", argvs)
     plain_import, plain, plain_end = _fresh_run("plain", argvs)
     assert not plain_import and not plain_end  # no op above loaded sympy
     assert [code for code, _ in plain] == [0] * len(argvs)
     assert blocked == plain  # same exit codes and report bytes
-    assert 2 in {b["degree"] for b in json.loads(plain[-1][1])["results"]["perBeta"]}
+    assert 2 in {b["degree"] for b in json.loads(plain[5][1])["results"]["perBeta"]}
+    assert [json.loads(plain[i][1])["results"]["degree"] for i in (6, 8)] == [3, 4]
+    assert all(json.loads(plain[i][1])["results"]["sIntegralOrbits"] for i in (7, 9))
 
 
-def test_cubic_beta_imports_sympy_lazily():
-    _, [[code, out]], sympy_loaded = _fresh_run("plain", [["height", "--beta", "poly:-2,0,0,1"]])
-    assert code == 0 and sympy_loaded
-    assert json.loads(out)["results"]["degree"] == 3
+def test_cubic_irreducibility_runs_without_sympy():
+    # x^3 - 2 is irreducible; x^3 - 1 = (x - 1)(x^2 + x + 1) is rejected
+    argvs = [["height", "--beta", "poly:-2,0,0,1"], ["height", "--beta", "poly:-1,0,0,1"]]
+    _, [[code, out], [bad_code, bad_out]], sympy_loaded = _fresh_run("block", argvs)
+    assert code == 0 and json.loads(out)["results"]["degree"] == 3
+    assert bad_code == 1 and not bad_out  # a usage error, with no report
+    assert not sympy_loaded
 
 
 def test_bench_tracer_resolves_traced_names(tmp_path):

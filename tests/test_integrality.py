@@ -25,7 +25,7 @@ from chebdyn import (
     root_of_unity_valuation,
 )
 from chebdyn.errors import CoincidentPointsError
-from chebdyn.factorint import primes_upto, strip_primes
+from chebdyn.factorint import factor_counts, primes_upto, strip_primes
 from chebdyn.integrality import PairingSieve, orbit_shift_poly, pairing_value, scan_orbits
 
 
@@ -149,6 +149,58 @@ def test_pairing_sieve_matches_pairing_value():
         got = [(n, [meets.get(p, 0) for p in primes]) for n, _, meets in rows]
         assert got == expected_rows, beta
     assert hits > 100
+
+
+def _wandering_algebraic(rng: random.Random, degree: int, coeff: int):
+    """An irreducible primitive polynomial with leading coefficient >= 2 (so
+    its roots are not algebraic integers, hence wandering), one root chosen."""
+    while True:
+        c = [rng.randint(-coeff, coeff) for _ in range(degree)] + [rng.randint(2, coeff)]
+        if c[0] == 0 or math.gcd(*c) != 1:
+            continue
+        try:
+            return algebraic_number(c, rng.randrange(degree))
+        except DomainError:
+            continue
+
+
+def test_pairing_sieve_matches_pairing_value_above_degree_one():
+    # seeded betas drawn like the algebraic bench scans, plus two with lead
+    # 13 = 52/4: with S = {2, 3, 5, 7, 11}, lead primes sit inside S and
+    # outside it, and both kinds divide some F_N
+    rng = random.Random(12)
+    cases = [(2, 9, 120), (2, 9, 120), (3, 6, 70), (3, 6, 70), (4, 4, 70), (4, 4, 70)]
+    betas = [(_wandering_algebraic(rng, degree, coeff), n_max) for degree, coeff, n_max in cases]
+    betas += [(algebraic_number([-2, 1, 13], 1), 120), (algebraic_number([-1, 2, 0, 52], 0), 70)]
+    s_fin = (2, 3, 5, 7, 11)
+    hits = {True: 0, False: 0}  # lead prime in S -> F_N it divides
+    for beta, n_max in betas:
+        lead = set(factor_counts(beta.leading))
+        primes = (*s_fin, *sorted(lead - set(s_fin)))
+        sieve = PairingSieve(beta, n_max, primes)
+        expected_rows = []
+        for n in range(1, n_max + 1):
+            f = pairing_value(n, beta)
+            assert abs(sieve.log_abs(n) - math.log(abs(f))) < 1e-9, (beta.minpoly, n)
+            vals = [padic_valuation(f, p) for p in primes]
+            assert [sieve.valuation(n, p) for p in primes] == vals, (beta.minpoly, n)
+            for p, v in zip(primes, vals):
+                if p in lead and v:
+                    hits[p in s_fin] += 1
+            if strip_primes(f, primes) == 1:
+                expected_rows.append((n, vals[: len(s_fin)]))
+        rows, _ = scan_orbits(beta, PlaceSet.of(*s_fin), n_max, 2.0)
+        got = [(n, [meets.get(p, 0) for p in s_fin]) for n, _, meets in rows]
+        assert got == expected_rows, beta.minpoly
+    assert {beta.degree for beta, _ in betas} == {2, 3, 4}
+    assert hits[True] and hits[False]
+
+
+@pytest.mark.parametrize("coeffs, order", [([-1, -2, 1, 1], 7), ([-1, 1, 1], 5)])
+def test_pairing_sieve_rejects_algebraic_orbit_point(coeffs, order):
+    beta = algebraic_number(coeffs, 1)
+    with pytest.raises(PreperiodicInputError, match=f"a root of .* order-{order} orbit"):
+        PairingSieve(beta, 3 * order)
 
 
 @pytest.mark.parametrize("beta, order", [(2, 1), (-2, 2), (-1, 3), (0, 4), (1, 6)])
