@@ -35,19 +35,21 @@ from .numerics import ApproxReal, cos_two_pi
 # ---------------------------------------------------------------------------
 
 _SPF_LIMIT = 1 << 14
-_SPF: np.ndarray | None = None
+_SPF: list[int] | None = None
 
 
-def _spf_table(limit: int) -> np.ndarray:
+def _spf_table(limit: int) -> list[int]:
+    """Smallest prime factor of every 2 <= i <= limit; the bound doubles as needed."""
     global _SPF, _SPF_LIMIT
     if _SPF is None or limit >= _SPF_LIMIT:
         while _SPF_LIMIT <= limit:
             _SPF_LIMIT *= 2
-        spf = np.zeros(_SPF_LIMIT + 1, dtype=np.int64)
-        for i in range(2, _SPF_LIMIT + 1):
-            if spf[i] == 0:
-                sl = spf[i::i]
-                sl[sl == 0] = i
+        spf = list(range(_SPF_LIMIT + 1))
+        for i in range(2, math.isqrt(_SPF_LIMIT) + 1):
+            if spf[i] == i:
+                for j in range(i * i, _SPF_LIMIT + 1, i):
+                    if spf[j] == j:
+                        spf[j] = i
         _SPF = spf
     return _SPF
 
@@ -56,7 +58,7 @@ def distinct_primes(n: int) -> list[int]:
     spf = _spf_table(n)
     out = []
     while n > 1:
-        p = int(spf[n])
+        p = spf[n]
         out.append(p)
         while n % p == 0:
             n //= p
@@ -144,15 +146,7 @@ def cheb_poly(n: int) -> IntPoly:
     """T_n as an integer polynomial (T_1 = x, T_2 = x^2 - 2)."""
     if n < 1:
         raise DomainError("Chebyshev index must be >= 1")
-    if n == 1:
-        return IntPoly.of(0, 1)
-    prev, cur = (2,), (0, 1)  # T_0 = 2, T_1 = x
-    for _ in range(n - 1):
-        new = [0] + list(cur)
-        for i, c in enumerate(prev):
-            new[i] -= c
-        prev, cur = cur, tuple(new)
-    return IntPoly(cur)
+    return IntPoly(tuple(_pk(n)))
 
 
 def cheb_eval(n: int, z):
@@ -246,62 +240,70 @@ def halved_minpoly(n: int) -> IntPoly:
     return IntPoly.from_coeffs(out)
 
 
+#: Rigorous bound on |conjugates_fast(n)[i] - 2 cos(2 pi a_i / n)| for
+#: 1 <= a_i <= n/2 in float64 (u = 2^-53; a and n are exact floats):
+#: - argument: 2.0*np.pi = 2 pi (1 + e0) with |e0| < u/2, and the product
+#:   and the quotient each round once, so the float angle is
+#:   theta (1 + e0)(1 + e1)(1 + e2) with |e1|, |e2| <= u; as theta <= pi its
+#:   error is at most pi ((1 + u/2)(1 + u)^2 - 1) < 2.5000001 pi u.
+#: - cos is 1-Lipschitz, so that error passes through unchanged.
+#: - numpy's float64 cos is within 1 ulp (its own accuracy suite holds it to
+#:   1 ulp, as glibc and macOS libm hold theirs); ulp <= 2u on [-1, 1].
+#: - the doubling is exact, so the total is 2 (2.5000001 pi + 2) u < 2.19e-15.
+ORBIT_COS_ERROR = 2.2e-15
+
+
+def conjugates_fast(n: int) -> np.ndarray:
+    """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, in
+    float64: each within ORBIT_COS_ERROR, and exact for n <= 2."""
+    if n == 1:
+        return np.array([2.0])
+    if n == 2:
+        return np.array([-2.0])
+    a = np.arange(1, n // 2 + 1)
+    a = a[np.gcd(a, n) == 1]
+    return 2.0 * np.cos(2.0 * np.pi * a / n)
+
+
 @dataclass(frozen=True)
 class PreperiodicOrbit:
     """The Galois orbit over Q of zeta_N + 1/zeta_N.
 
     conjugates[i] approximates 2 cos(2 pi a_values[i] / order); every
-    conjugate lies in [-2, 2].
+    conjugate lies in [-2, 2]. The minimal polynomial and the conjugates are
+    computed when read, so an orbit that is only averaged over expands no
+    psi_N.
     """
 
     order: int
-    minpoly: IntPoly
     size: int
     a_values: tuple[int, ...]
-    conjugates: tuple[ApproxReal, ...]
+
+    @property
+    def minpoly(self) -> IntPoly:
+        poly = halved_minpoly(self.order)
+        assert poly.degree == self.size
+        return poly
+
+    @property
+    def conjugates(self) -> tuple[ApproxReal, ...]:
+        bound = ORBIT_COS_ERROR if self.order > 2 else 0.0
+        return tuple(ApproxReal(x, bound) for x in self.conjugates_array().tolist())
 
     def conjugate_mp(self, i: int, prec: int = 64):
         """High-precision conjugate value (mpf) for escalation paths."""
         return cos_two_pi(self.a_values[i], self.order, prec)
 
     def conjugates_array(self) -> np.ndarray:
-        return np.array([c.value for c in self.conjugates], dtype=np.float64)
-
-
-#: Rigorous bound on |2*math.cos(2*math.pi*a/n) - 2 cos(2 pi a / n)| for
-#: 1 <= a <= n/2 in float64 (u = 2^-53; a and n are exact floats):
-#: - argument: 2*math.pi = 2 pi (1 + e0) with |e0| < u/2, and the product
-#:   and the quotient each round once, so the float angle is
-#:   theta (1 + e0)(1 + e1)(1 + e2) with |e1|, |e2| <= u; as theta <= pi its
-#:   error is at most pi ((1 + u/2)(1 + u)^2 - 1) < 2.5000001 pi u.
-#: - cos is 1-Lipschitz, so that error passes through unchanged.
-#: - libm cos is within 1 ulp (glibc, macOS libm); ulp <= 2u on [-1, 1].
-#: - the doubling is exact, so the total is 2 (2.5000001 pi + 2) u < 2.19e-15.
-ORBIT_COS_ERROR = 2.2e-15
-
-
-def float_conjugate(a: int, n: int) -> ApproxReal:
-    """2 cos(2 pi a / n) in float64 with its error bound, 1 <= a <= n/2."""
-    return ApproxReal(2 * math.cos(2 * math.pi * a / n), ORBIT_COS_ERROR)
+        return conjugates_fast(self.order)
 
 
 @lru_cache(maxsize=None)
 def preperiodic_orbit(n: int) -> PreperiodicOrbit:
-    """Construct the order-n orbit: exact minimal polynomial plus conjugates."""
+    """The order-n orbit: its size and the residues a of its conjugates."""
     if n < 1:
         raise DomainError("order must be positive")
-    poly = halved_minpoly(n)
-    a_vals = tuple(coprime_residues_half(n))
-    if n == 1:
-        conj = (ApproxReal(2.0, 0.0),)
-        a_vals = (1,)
-    elif n == 2:
-        conj = (ApproxReal(-2.0, 0.0),)
-    else:
-        conj = tuple(float_conjugate(a, n) for a in a_vals)
-    size = orbit_size(n)
-    assert poly.degree == size
-    return PreperiodicOrbit(n, poly, size, a_vals, conj)
+    return PreperiodicOrbit(n, orbit_size(n), tuple(coprime_residues_half(n)))
 
 
 # rational preperiodic points and their orders

@@ -3,7 +3,8 @@ sweeps, equidistribution scans, two-log bounds, and the uniform-count
 experiment.
 
 Exit codes: 0 when every emitted check passes, 2 when any check fails,
-1 on a usage error (malformed beta, bad place list, unknown flags).
+1 on a usage error (malformed beta, bad place list, unknown flags), 3 when
+a result could not be certified within the precision ceiling.
 
 beta grammar: "p/q" (or "p") for rationals; "poly:c0,c1,...,cd@k" for an
 algebraic number by minimal-polynomial coefficients (lowest degree first)
@@ -35,7 +36,7 @@ from .equidist import (
     lambda_integral,
     log_plus_integral,
 )
-from .errors import ChebdynError, DomainError
+from .errors import ChebdynError, DomainError, PrecisionError
 from .factorint import euler_phi, is_prime
 from .heights import (
     canonical_height,
@@ -51,6 +52,7 @@ DEFAULT_SIZE_CONSTANT = 2.0  # threshold c in the size cutoff c * D^12
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
+PRECISION_FAILURE = 3
 
 
 class UsageError(Exception):
@@ -80,7 +82,7 @@ def parse_beta(text: str):
             raise UsageError(f"bad coefficient list {body!r}") from None
         try:
             return algebraic_number(coeffs, index)
-        except ChebdynError as exc:
+        except DomainError as exc:  # a PrecisionError is not a usage error
             raise UsageError(str(exc)) from None
     try:
         if "/" in text:
@@ -612,6 +614,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except PrecisionError as exc:
+        print(f"precision error: {exc}", file=sys.stderr)
+        return PRECISION_FAILURE
     except ChebdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebraic import AlgebraicNumber
 from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, orbit_size
+from .chebyshev import conjugates_fast  # noqa: F401  (traced under this module by bench/tracing.py)
 from .errors import DomainError, PreperiodicInputError
 from .factorint import padic_valuation
 from .heights import (
@@ -116,14 +117,6 @@ def lambda_integral(beta, place: Place = ARCH) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _arch_average_float(orbit: PreperiodicOrbit, b: float) -> tuple[float, float]:
-    """(average, smallest gap) over conjugates, vectorized float64."""
-    x = orbit.conjugates_array()
-    gaps = np.abs(x - b)
-    lam = -np.log(gaps / (np.maximum(np.abs(x), 1.0) * max(abs(b), 1.0)))
-    return float(lam.mean()), float(gaps.min())
-
-
 def _arch_average_mp(orbit: PreperiodicOrbit, beta: Fraction, prec: int) -> float:
     r, s = beta.numerator, beta.denominator
     with mp.workprec(prec):
@@ -155,31 +148,36 @@ def finite_lambda_average(order: int, beta, p: int) -> float:
     return float(v) * math.log(p) / orbit_size(order)
 
 
-def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH, prec: int | None = None) -> float:
-    """(1/|P|) sum over conjugates of lambda_{sigma(alpha), v}(beta).
+def real_place_lambda_average(beta: Fraction, order: int, log_pairing: float) -> float:
+    """(1/|P|) sum over the order-N orbit of lambda_{sigma(alpha), inf}(beta),
+    for rational beta, from log|F_N| by the product formula.
 
-    Archimedean: numeric average over the closed-form conjugates (mpmath
-    escalation when beta crowds one of them). Finite p: exact, read off the
-    pairing value (``finite_lambda_average``).
+    lambda summed over every place and averaged over the orbit is
+    h(beta) + h(alpha_N) (``total_lambda_identity_check``), and the finite
+    places add up to log|F_N| / |P| exactly, so the real-place average is
+    h(beta) + h(alpha_N) - log|F_N| / |P|. No term divides by a gap
+    |x - beta|, so a beta crowding a conjugate costs no accuracy, where a
+    float64 mean of the lambdas is off by up to ORBIT_COS_ERROR / gap.
+    """
+    h_alpha = orbit_generator_height(order).value
+    return weil_height_rational(beta).value + h_alpha - log_pairing / orbit_size(order)
+
+
+def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> float:
+    """(1/|P|) sum over conjugates of lambda_{sigma(alpha), v}(beta), rational beta.
+
+    Both places read the exact pairing value F_N: the real place through
+    the product formula (``real_place_lambda_average``), a finite p through
+    v_p(F_N) (``finite_lambda_average``).
     """
     if not place.is_archimedean:
         return finite_lambda_average(orbit.order, beta, place.p)
-    if isinstance(beta, AlgebraicNumber) and beta.is_rational:
-        beta = beta.as_fraction()
     if isinstance(beta, AlgebraicNumber):
-        b = beta.embedding.value
-        if b.imag == 0:
-            b = b.real
-        avg, gap = _arch_average_float(orbit, b)
-        if gap < 1e-7:
-            raise DomainError("algebraic beta too close to a conjugate for the float path")
-        return avg
+        if not beta.is_rational:
+            raise DomainError("real-place orbit averages take a rational beta")
+        beta = beta.as_fraction()
     beta = Fraction(beta)
-    pairing_value(orbit.order, beta)  # rejects a beta in the orbit
-    avg, gap = _arch_average_float(orbit, float(beta))
-    if prec is None and gap > 1e-6:
-        return avg
-    return _arch_average_mp(orbit, beta, prec or 128)
+    return real_place_lambda_average(beta, orbit.order, math.log(abs(pairing_value(orbit.order, beta))))
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -
     with mp.workprec(prec):
         finite = float(mp.log(abs(mp.mpf(f_val))) / orbit.size) if abs(f_val) > 1 else 0.0
     lhs = arch + finite
-    rhs = weil_height_rational(beta).value + orbit_generator_height(orbit, prec).value
+    rhs = weil_height_rational(beta).value + orbit_generator_height(orbit.order).value
     return LambdaIdentity(
         orbit_order=orbit.order,
         beta=str(beta),
@@ -309,38 +307,16 @@ def discrepancy(
     )
 
 
-def conjugates_fast(n: int) -> np.ndarray:
-    """Conjugate values 2 cos(2 pi a / n), gcd(a,n)=1, without building the
-    orbit object (no minimal polynomial; used by large scans)."""
-    if n == 1:
-        return np.array([2.0])
-    if n == 2:
-        return np.array([-2.0])
-    a = np.arange(1, n // 2 + 1)
-    a = a[np.gcd(a, n) == 1]
-    return 2.0 * np.cos(2.0 * np.pi * a / n)
-
-
 def arch_discrepancy_fast(sieve: PairingSieve, n: int) -> DiscrepancyRecord:
     """Archimedean discrepancy record of the order-n orbit against sieve.beta,
-    via the closed-form conjugates and the product formula.
-
-    lambda summed over every place and averaged over the orbit is
-    h(beta) + h(alpha_n) (``total_lambda_identity_check``), and the finite
-    places add up to log|F_n| / |P| exactly, so the real-place average is
-    h(beta) + h(alpha_n) - log|F_n| / |P|, with h(alpha_n) the mean of
-    log max(|x|, 1) over the conjugates x. No term divides by a gap
-    |x - beta|, so a beta crowding a conjugate costs no accuracy, where a
-    float64 mean of the lambdas is off by up to ORBIT_COS_ERROR / gap.
-    """
+    with the orbit average read from the sieve's log|F_n|
+    (``real_place_lambda_average``)."""
     beta = sieve.beta
-    x = conjugates_fast(n)
-    h_alpha = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
-    avg = weil_height_rational(beta).value + h_alpha - sieve.log_abs(n) / x.size
+    avg = real_place_lambda_average(beta, n, sieve.log_abs(n))
     integral = lambda_integral(beta, ARCH)
     return DiscrepancyRecord(
         orbit_order=n,
-        orbit_size=int(x.size),
+        orbit_size=orbit_size(n),
         place="inf",
         orbit_average=avg,
         integral_value=integral,
@@ -403,27 +379,24 @@ class PairingEstimate:
 def az_pairing_estimate(beta, n_max: int, min_size: int = 1, tol: float = 1e-10) -> PairingEstimate:
     """Per-orbit total lambda sums against the pairing limit, for N <= n_max.
 
-    beta must be rational and non-preperiodic here: the scan relies on the
-    exact integer pairing values.
+    beta must be rational and non-preperiodic. By the product formula the
+    total over every place of the orbit-averaged lambda is
+    h(beta) + h(alpha_N) (``total_lambda_identity_check``), so no pairing
+    value is needed.
     """
     beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
     if is_preperiodic_rational(beta):
         raise PreperiodicInputError(f"{beta} is preperiodic")
     h_phi = canonical_height(beta, 2, tol)
     limit = h_phi.value + lambda_integral(beta, ARCH)
+    h_beta = weil_height_rational(beta).value
     rows = []
     rate = 0.0
-    bf = float(beta)
     for n in range(1, n_max + 1):
-        x = conjugates_fast(n)
-        size = int(x.size)
+        size = orbit_size(n)
         if size < min_size:
             continue
-        f_val = pairing_value(n, beta)
-        lam = -np.log(np.abs(x - bf) / (np.maximum(np.abs(x), 1.0) * max(abs(bf), 1.0)))
-        arch = float(lam.mean())
-        finite = math.log(abs(f_val)) / size if abs(f_val) > 1 else 0.0
-        total = arch + finite
+        total = h_beta + orbit_generator_height(n).value
         gap = abs(total - limit)
         rows.append((n, size, total, gap))
         if size > 1:

@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Literal
 
 import mpmath as mp
+import numpy as np
 
 from .algebraic import AlgebraicNumber, algebraic_number
-from .chebyshev import ChebMap, cheb_eval, is_preperiodic_rational
+from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugates_fast, is_preperiodic_rational
 from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import precision_ladder
 from .roots import complex_roots
@@ -74,23 +75,26 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
     return HeightValue(v, (err + 8e-16 * (1 + abs(v))), "mahler-numeric")
 
 
-def orbit_generator_height(orbit, prec: int = 80) -> HeightValue:
-    """Height of zeta_N + 1/zeta_N through its closed-form real conjugates.
+def orbit_generator_height(n: int) -> HeightValue:
+    """Height h(alpha_n) of alpha_n = zeta_n + 1/zeta_n: the mean of
+    log max(|x|, 1) over its conjugates x (``conjugates_fast``).
 
-    Same Mahler-measure formula as weil_height_algebraic (the minimal
-    polynomial is monic), but the conjugates 2 cos(2 pi a / N) are summed
-    directly instead of being re-derived from the polynomial.
+    This is the Mahler-measure formula of weil_height_algebraic (psi_n is
+    monic), summed over the closed-form conjugates. Error bound, with
+    u = 2^-53 and m = |P| terms y_i in [0, log 2] of exact mean y:
+    - each conjugate is within ORBIT_COS_ERROR and log max(|x|, 1) is
+      1-Lipschitz, so the exact terms move by at most ORBIT_COS_ERROR;
+    - numpy's float64 log is within 1 ulp, at most 2u y_i per term;
+    - summing m nonnegative terms in any order, whatever tree numpy uses,
+      errs by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u) of the sum;
+    - the division by m rounds once, u.
+    So the computed mean v is within ORBIT_COS_ERROR + (m + 2) u y of
+    h(alpha_n); the 1% pad on (m + 2) u v covers gamma's denominator and
+    y / v while (m + 2) u < 10^-3.
     """
-    if orbit.order <= 2:
-        return HeightValue(math.log(2.0), 1e-15, "mahler-numeric")
-    with mp.workprec(prec):
-        total = mp.mpf(0)
-        for a in orbit.a_values:
-            mag = abs(2 * mp.cospi(mp.mpf(2 * a) / orbit.order))
-            if mag > 1:
-                total += mp.log(mag)
-        v = float(total / orbit.size)
-    return HeightValue(v, (1 + abs(v)) * (2.0 ** (8 - prec) + 4e-16), "mahler-numeric")
+    x = conjugates_fast(n)
+    v = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
+    return HeightValue(v, ORBIT_COS_ERROR + 1.01 * (x.size + 2) * 2.0**-53 * v, "mahler-numeric")
 
 
 def dobrowolski_floor(degree: int, c: float = DEFAULT_DOBROWOLSKI_C) -> float:

@@ -35,6 +35,7 @@ from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
     distinct_primes,
+    halved_minpoly,
     is_preperiodic_rational,
     orbit_norm_quadratic,
     orbit_size,
@@ -204,7 +205,7 @@ def pairing_value(order: int, beta) -> int:
         if beta.degree == 2:
             value = orbit_norm_quadratic(order, beta.minpoly)
         else:
-            value = resultant(preperiodic_orbit(order).minpoly, beta.minpoly)
+            value = resultant(halved_minpoly(order), beta.minpoly)
     else:
         beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
         value = orbit_value(order, beta)

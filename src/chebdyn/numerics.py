@@ -72,12 +72,6 @@ class ApproxComplex:
         return self.value.imag
 
 
-def to_float(x: mp.mpf, extra_error: float = 0.0) -> ApproxReal:
-    """Downgrade an mpf to ApproxReal, absorbing the conversion roundoff."""
-    v = float(x)
-    return ApproxReal(v, extra_error + abs(v) * FLOAT_EPS + 5e-324)
-
-
 def cos_two_pi(numerator: int, denominator: int, prec: int = 64) -> mp.mpf:
     """2*cos(2*pi*numerator/denominator) at ``prec`` bits.
 

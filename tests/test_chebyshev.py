@@ -13,16 +13,22 @@ from chebdyn import (
     cheb_poly,
     cyclotomic_coeffs,
     euler_phi,
+    factor_counts,
     is_preperiodic_rational,
+    orbit_generator_height,
     orbit_size,
     orbit_value,
     preperiodic_orbit,
+    proximity_bound_check,
     resultant,
 )
+from chebdyn import chebyshev
 from chebdyn.chebyshev import (
+    ORBIT_COS_ERROR,
     ChebMap,
+    conjugates_fast,
     coprime_residues_half,
-    float_conjugate,
+    distinct_primes,
     halved_minpoly,
     is_preperiodic_dynamic,
     minpoly_identity_exact,
@@ -135,8 +141,9 @@ def _scaled_cosines(n: int, bits: int) -> list[int]:
 
 
 def test_orbit_conjugate_error_bounds_hold():
-    """Every float conjugate of every orbit N <= 2000 lies within its
-    reported error bound of the exact 2 cos(2 pi a / N).
+    """Every float conjugate of every orbit N <= 2000 lies within
+    ORBIT_COS_ERROR of the exact 2 cos(2 pi a / N), and the orbit reports
+    those values with that bound (0 at N <= 2, where they are exact).
 
     The former flat 4e-16 was exceeded from N = 3 on (error 4.4e-16), with
     errors of 5.1e-16 at (N, a) = (41, 11) and 9.83e-16 at (1987, 671).
@@ -146,18 +153,58 @@ def test_orbit_conjugate_error_bounds_hold():
         with mp.workprec(bits + 32):
             exact = int(mp.nint(2 * mp.cospi(mp.mpf(2 * a) / n) * mp.mpf(2) ** bits))
         assert abs(_scaled_cosines(n, bits)[a] - exact) < 2**30
-    for n in (3, 41, 1987):
-        orbit = preperiodic_orbit(n)
-        assert orbit.conjugates == tuple(float_conjugate(a, n) for a in orbit.a_values)
+    for n, bound in ((1, 0.0), (2, 0.0), (3, ORBIT_COS_ERROR), (41, ORBIT_COS_ERROR)):
+        conj = preperiodic_orbit(n).conjugates
+        assert [c.value for c in conj] == conjugates_fast(n).tolist()
+        assert all(type(c.value) is float and c.error_bound == bound for c in conj)
     worst = 0.0
     for n in range(3, 2001):
         xs = _scaled_cosines(n, bits)
-        for a in coprime_residues_half(n):
-            c = float_conjugate(a, n)
-            err = abs(int(c.value * 2.0**bits) - xs[a]) / 2**bits
-            assert err <= c.error_bound, (n, a, err, c.error_bound)
+        for a, c in zip(coprime_residues_half(n), conjugates_fast(n).tolist()):
+            err = abs(int(c * 2.0**bits) - xs[a]) / 2**bits
+            assert err <= ORBIT_COS_ERROR, (n, a, err)
             worst = max(worst, err)
     assert worst > 4e-16  # the sweep does see errors past the former bound
+
+
+def test_orbit_generator_height_within_its_bound():
+    # oracle: sum log max(|x|, 1) over the 200-bit conjugates x, taken at
+    # 80 bits as logs of exact integer products of 16 terms at a time
+    bits = 200
+    worst = 0.0
+    for n in range(1, 2001):
+        h = orbit_generator_height(n)
+        xs = _scaled_cosines(n, bits)
+        big = [abs(xs[a]) for a in coprime_residues_half(n) if abs(xs[a]) >> bits]
+        with mp.workprec(80):
+            total = mp.fsum(mp.log(math.prod(big[i : i + 16])) for i in range(0, len(big), 16))
+            err = abs(h.value - float((total - len(big) * bits * mp.ln2) / orbit_size(n)))
+        assert err <= h.error_bound, (n, err, h.error_bound)
+        worst = max(worst, err / h.error_bound)
+    assert worst > 0.0  # the oracle does resolve the float error
+
+
+def test_orbit_expands_psi_n_only_when_read():
+    """Orbit construction, its conjugates and the proximity scan, which
+    reads only the conjugates, expand no minimal polynomial."""
+    preperiodic_orbit.cache_clear()
+    halved_minpoly.cache_clear()
+    for n in range(1, 61):
+        assert len(preperiodic_orbit(n).conjugates) == orbit_size(n)
+    for beta in (Fraction(97, 89), Fraction(-71, 13)):
+        proximity_bound_check(beta, 60)
+    assert halved_minpoly.cache_info().misses == 0
+    assert preperiodic_orbit(7).minpoly.coeffs == (-1, -2, 1, 1)
+    assert halved_minpoly.cache_info().misses == 1
+
+
+def test_distinct_primes_across_table_growth(monkeypatch):
+    # start from the smallest table, so the sweep crosses its growth steps
+    monkeypatch.setattr(chebyshev, "_SPF", None)
+    monkeypatch.setattr(chebyshev, "_SPF_LIMIT", 1 << 14)
+    for n in range(2, 40001):
+        assert distinct_primes(n) == sorted(factor_counts(n)), n
+    assert chebyshev._SPF_LIMIT == 1 << 16
 
 
 def test_orbit_closure_under_dynamics():

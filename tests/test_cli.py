@@ -170,6 +170,22 @@ def test_usage_errors_exit_one(argv, capsys):
     capsys.readouterr()
 
 
+def test_precision_error_exits_three(capsys):
+    # two roots closer than the 256-bit ceiling can separate: the
+    # irreducibility test cannot certify them, which is not a usage error
+    beta = (
+        "poly:99999999999999999999999959999999999999999999999980,"
+        "-2000000000000000000009999599999999999999999993,"
+        "100000000009999999999999960000099999999999999999979,"
+        "-2000000000000000000009999599999999999999999993,"
+        "10000000000000000000100000000000000000000"
+    )
+    assert main(["height", f"--beta={beta}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precision error: ")
+
+
 def test_report_to_json_rejects_non_finite():
     with pytest.raises(ValueError):
         report_to_json({"results": {"eps": float("inf")}})

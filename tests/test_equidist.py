@@ -7,8 +7,10 @@ import pytest
 
 from chebdyn import (
     ARCH,
+    DomainError,
     Place,
     PreperiodicInputError,
+    algebraic_number,
     az_pairing_estimate,
     discrepancy,
     equilibrium_potential,
@@ -87,6 +89,8 @@ def test_orbit_lambda_average_examples():
     assert abs(avg - 0.14027056479872602) < 1e-12
     assert abs(orbit_lambda_average(o5, 3, Place(11)) - math.log(11) / 2) < 1e-14
     assert abs(orbit_lambda_average(preperiodic_orbit(1), 10) - math.log(20 / 8)) < 1e-14
+    with pytest.raises(DomainError):
+        orbit_lambda_average(o5, algebraic_number([-3, 0, 1]))
 
 
 def test_finite_lambda_average_matches_newton_polygon():
@@ -159,11 +163,16 @@ def test_discrepancy_records():
 
 
 def test_fast_scan_matches_orbit_route():
+    # oracle: the mpmath mean of the lambdas over the conjugates, which does
+    # not go through the product formula that both equidist_rows and
+    # discrepancy() use
     for beta in (Fraction(3), Fraction(97, 89), Fraction(-71, 13)):
+        integral = lambda_integral(beta, ARCH)
         for n, size, disc in equidist_rows(beta, ARCH, [1, 2, 5, 12, 101]):
-            slow = discrepancy(preperiodic_orbit(n), beta, ARCH)
-            assert abs(disc - slow.discrepancy) < 1e-11
-            assert size == slow.orbit_size
+            arch = total_lambda_identity_check(preperiodic_orbit(n), beta).arch_average
+            assert abs(disc - abs(arch - integral)) < 1e-11
+            assert abs(disc - discrepancy(preperiodic_orbit(n), beta, ARCH).discrepancy) < 1e-11
+            assert size == orbit_size(n)
 
 
 def test_finite_equidist_rows_match_single_orbit_kernel():

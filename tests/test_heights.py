@@ -129,7 +129,7 @@ def test_dobrowolski_golden_ratio_boundary():
 def test_orbit_generator_height_matches_mahler_route():
     for n in (1, 2, 5, 7, 12, 30):
         orbit = preperiodic_orbit(n)
-        direct = orbit_generator_height(orbit).value
+        direct = orbit_generator_height(n).value
         via_roots = weil_height_algebraic(
             AlgebraicNumber(orbit.minpoly, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16), 0)
         ).value
