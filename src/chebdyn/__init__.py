@@ -1,9 +1,9 @@
 """chebdyn: exact arithmetic for the Chebyshev dynamical system over Q.
 
 Enumerates Galois orbits of preperiodic points (zeta_N + 1/zeta_N),
-computes Weil and canonical heights, decides S-integrality exactly via
-resultants and Newton polygons, and runs equidistribution / proximity /
-uniform-count verifications at desk scale.
+computes Weil and canonical heights, decides S-integrality exactly from one
+pairing kernel at every degree of beta and from Newton polygons, and runs
+equidistribution / proximity / uniform-count verifications at desk scale.
 """
 
 from .algebraic import AlgebraicNumber, algebraic_number
@@ -27,7 +27,6 @@ from .chebyshev import (
     halved_minpoly,
     is_preperiodic_rational,
     orbit_size,
-    orbit_value,
     preperiodic_orbit,
 )
 from .equidist import (

@@ -118,12 +118,15 @@ def cyclotomic_coeffs(n: int) -> list[int]:
 
 
 def symmetric_coeffs(n: int) -> tuple[int, dict[int, int]]:
-    """(m, {k: d_k}) with Phi_n(z)/z^m = d_0 + sum_{k>=1} d_k (z^k + z^-k).
+    """(m, {k: d_k}) with psi_n = d_0 + sum_{k>=1} d_k T_k of degree m.
 
-    Only meaningful for n >= 3 (Phi_n palindromic of even degree 2m).
+    For n >= 3 that is Phi_n(z)/z^m = d_0 + sum_{k>=1} d_k (z^k + z^-k), Phi_n
+    being palindromic of even degree 2m; psi_1 = x - 2 and psi_2 = x + 2.
     """
-    if n < 3:
-        raise DomainError("symmetric form needs n >= 3")
+    if n < 1:
+        raise DomainError("order must be positive")
+    if n <= 2:
+        return 1, {0: -2 if n == 1 else 2, 1: 1}
     r = radical(n)
     q = n // r
     c = _cyclotomic_squarefree(r)
@@ -222,10 +225,6 @@ def _pk(k: int) -> list[int]:
 @lru_cache(maxsize=None)
 def halved_minpoly(n: int) -> IntPoly:
     """Monic minimal polynomial of 2 cos(2 pi / n) over Q, exact."""
-    if n == 1:
-        return IntPoly.of(-2, 1)
-    if n == 2:
-        return IntPoly.of(2, 1)
     m, dk = symmetric_coeffs(n)
     out = [0] * (m + 1)
     for k, e in dk.items():
@@ -368,7 +367,7 @@ def preperiodic_order_of_minpoly(f: IntPoly, search_bound: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# fast exact orbit pairings (no minimal-polynomial expansion)
+# independent pairing routes, kept as the test suite's oracles
 # ---------------------------------------------------------------------------
 
 
@@ -457,10 +456,6 @@ def minpoly_conjugate_residuals(n: int) -> np.ndarray:
     keeps every term O(1), so the residual is a faithful float measure of
     the construction instead of a catastrophic cancellation artifact.
     """
-    if n == 1:
-        return np.array([abs(float(halved_minpoly(1)(2)))])
-    if n == 2:
-        return np.array([abs(float(halved_minpoly(2)(-2)))])
     m, dk = symmetric_coeffs(n)
     ks = np.array([k for k in dk if k > 0], dtype=np.float64)
     es = np.array([dk[k] for k in dk if k > 0], dtype=np.float64)
@@ -476,8 +471,6 @@ def minpoly_spot_checks(n: int) -> bool:
     are computed in pure integer arithmetic; this pins the basis conversion.
     """
     poly = halved_minpoly(n)
-    if n <= 2:
-        return poly(2 if n == 1 else -2) == 0
     m, dk = symmetric_coeffs(n)
     # T_k(0), T_k(1), T_k(-1), T_k(2), T_k(-2) are periodic integer sequences
     patterns = {

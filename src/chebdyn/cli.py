@@ -103,13 +103,16 @@ def finite_float(text: str) -> float:
 
 def parse_places(text: str) -> PlaceSet:
     try:
-        ps = PlaceSet.parse(text)
+        return PlaceSet.parse(text)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    for p in ps.finite_primes:
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
-    return ps
+
+
+def parse_place(text: str) -> Place:
+    try:
+        return Place.parse(text.strip())
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _beta_height(beta):
@@ -319,7 +322,7 @@ def cmd_equidist(args):
         raise UsageError("equidistribution scans take a rational beta")
     if is_preperiodic_rational(beta):
         raise UsageError("beta is preperiodic")
-    place = ARCH if args.place == "inf" else Place(int(args.place))
+    place = parse_place(args.place)
     orders = range(1, args.Nmax + 1)
     if args.primes_only:
         orders = [n for n in orders if is_prime(n) and n >= args.Nmin]

@@ -10,10 +10,9 @@ beta = r/s, res(psi_N, f_beta) for algebraic beta. The primes meeting the
 orbit are the prime divisors of F_N (away from the leading-coefficient
 primes of f_beta), and for p-integral beta, v_p(F_N) is the sum of the
 valuations v_p(beta - sigma(alpha)) over the conjugates. ``pairing_value``
-serves the single-N callers (``sintegral``, ``meeting_primes``,
-``arch_proximity``). Scans over every N <= Nmax, with beta of any degree,
-read log|F_N| and v_p(F_N) from one recurrence pass instead
-(``PairingSieve``).
+serves single-N callers; ``PairingSieve`` reads log|F_N| and v_p(F_N) for
+every N <= Nmax from one pass. Both run one exact kernel at every degree of
+beta, with no psi_N expanded: a Chebyshev recurrence in Z[y]/(g) and its norm.
 
 The Newton polygon of the denominator-cleared psi_N(beta - x) gives those
 valuations one conjugate at a time, read off the lower convex hull of
@@ -35,12 +34,10 @@ from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
     distinct_primes,
-    halved_minpoly,
     is_preperiodic_rational,
-    orbit_norm_quadratic,
     orbit_size,
-    orbit_value,
     preperiodic_orbit,
+    symmetric_coeffs,
 )
 from .errors import CoincidentPointsError, DomainError, PrecisionError, PreperiodicInputError
 from .factorint import factor_counts, is_prime, padic_valuation
@@ -67,6 +64,17 @@ class Place:
     def __post_init__(self):
         if self.p is not None and not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
+
+    @staticmethod
+    def parse(token: str) -> "Place":
+        """A place from its token: "inf" or a prime."""
+        if token == "inf":
+            return Place(None)
+        try:
+            p = int(token)
+        except ValueError:
+            raise DomainError(f"bad place token {token!r}") from None
+        return Place(p)
 
     @property
     def is_archimedean(self) -> bool:
@@ -98,16 +106,7 @@ class PlaceSet:
         toks = [t.strip() for t in text.split(",") if t.strip()]
         if "inf" not in toks:
             raise DomainError('the place list must contain "inf"')
-        primes = []
-        for t in toks:
-            if t == "inf":
-                continue
-            try:
-                p = int(t)
-            except ValueError:
-                raise DomainError(f"bad place token {t!r}") from None
-            primes.append(p)
-        return PlaceSet.of(*primes)
+        return PlaceSet(frozenset(map(Place.parse, toks)))
 
     @property
     def finite_primes(self) -> tuple[int, ...]:
@@ -192,25 +191,71 @@ def local_lambda(x, y, place: Place = ARCH) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pairing_value(order: int, beta) -> int:
-    """Exact integer pairing F_N of the order-N orbit against beta.
-
-    s^m psi_N(r/s) for rational beta = r/s; res(psi_N, f_beta) for algebraic
-    beta, by the norm recurrence in degree 2 and the generic resultant above.
-    Below degree 3 no psi_N is expanded and the cost is linear in the orbit
-    size. Every orbit consumer reads F_N here, and this is the one place that
-    rejects a beta lying in the orbit (F_N = 0) with PreperiodicInputError.
-    """
+def _pairing_beta(beta):
+    """(beta, f_beta, the label naming beta in errors), with a rational beta
+    = r/s as a Fraction and f_beta = s x - r."""
     if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-        if beta.degree == 2:
-            value = orbit_norm_quadratic(order, beta.minpoly)
-        else:
-            value = resultant(halved_minpoly(order), beta.minpoly)
+        return beta, beta.minpoly, f"a root of {beta.minpoly}"
+    beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
+    return beta, IntPoly.of(-beta.numerator, beta.denominator), str(beta)
+
+
+def _scaled_chebyshev(f: IntPoly):
+    """Q_d = a^d T_d(beta), d = 1, 2, ..., as length-D integer vectors in
+    Z[y]/(g): a = lc(f), g(y) = a^(D-1) f(y/a) is the monic minimal polynomial
+    of y = a beta, Q_0 = 2, Q_1 = y and Q_{d+1} = y Q_d - a^2 Q_{d-1}. At D = 1
+    (f = s x - r, g = y - r) the vector is the one integer s^d T_d(r/s)."""
+    deg, a2 = f.degree, f.leading**2
+    minus_g = [-c for c in f.scaled_monic().coeffs[:-1]]
+    q_prev = [2] + [0] * (deg - 1)
+    q = [minus_g[0]] if deg == 1 else [0, 1] + [0] * (deg - 2)  # Q_1 = y mod g
+    while True:
+        yield q
+        top = q[-1]  # y q: q shifted up one place, with top y^D read as top (y^D - g)
+        q_prev, q = q, [top * minus_g[0] - a2 * q_prev[0]] + [
+            q[i - 1] + top * minus_g[i] - a2 * q_prev[i] for i in range(1, deg)
+        ]
+
+
+def _norm(v: list[int], g: IntPoly, scale: int) -> int:
+    """Norm(v) / scale for v in Z[y]/(g), g monic of degree D = len(v), and
+    scale = a^(k(D-1)) a power of lc(f_beta) that the norm carries (1 at D = 1):
+    v[0] at D = 1, U^2 - g_1 U V + g_0 V^2 for v = U + V y at D = 2, res(v, g)
+    above."""
+    if len(v) == 1:
+        return v[0]
+    if len(v) == 2:
+        u, w = v
+        norm = u * u - g.coeffs[1] * u * w + g.coeffs[0] * w * w
     else:
-        beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-        value = orbit_value(order, beta)
+        h = IntPoly.from_coeffs(v)
+        norm = resultant(h, g) if not h.is_zero else 0
+    value, rem = divmod(norm, scale)
+    if rem:
+        raise ArithmeticError("pairing lost exactness")  # pragma: no cover
+    return value
+
+
+def pairing_value(order: int, beta) -> int:
+    """Exact integer pairing F_N = res(psi_N, f_beta) of the order-N orbit
+    against beta: s^m psi_N(r/s) for rational beta = r/s.
+
+    With psi_N = d_0 + sum_k d_k T_k (``symmetric_coeffs``), a^m psi_N(beta)
+    = d_0 a^m + sum_k d_k a^(m-k) Q_k is one vector of Z[y]/(g)
+    (``_scaled_chebyshev``) whose norm is a^(m(D-1)) F_N: no psi_N is
+    expanded, at every degree. A beta in the orbit (F_N = 0) raises
+    PreperiodicInputError.
+    """
+    beta, f, what = _pairing_beta(beta)
+    a, deg = f.leading, f.degree
+    m, dk = symmetric_coeffs(order)
+    total = [dk.get(0, 0) * a**m] + [0] * (deg - 1)
+    for k, q in zip(range(1, m + 1), _scaled_chebyshev(f)):
+        if k in dk:
+            w = dk[k] * a ** (m - k)
+            total = [t + w * c for t, c in zip(total, q)]
+    value = _norm(total, f.scaled_monic(), a ** (m * (deg - 1)))
     if value == 0:
-        what = f"a root of {beta.minpoly}" if isinstance(beta, AlgebraicNumber) else str(beta)
         raise PreperiodicInputError(f"beta = {what} is a conjugate of the order-{order} orbit")
     return value
 
@@ -291,66 +336,21 @@ def _moebius_divisors(n: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _rational_factors(r: int, s: int, n_max: int):
-    """G_d = 2 s^d - Q_d for d = 1..n_max, with Q_d = s^d T_d(r/s) from
-    Q_0 = 2, Q_1 = r, Q_{d+1} = r Q_d - s^2 Q_{d-1}."""
-    s2 = s * s
-    two_sd, q_prev, q = 2, 2, r
-    for _ in range(n_max):
-        two_sd *= s
-        yield two_sd - q
-        q_prev, q = q, r * q - s2 * q_prev
-
-
-def _algebraic_factors(f: IntPoly, n_max: int):
-    """G_d = res(2 a^d - Q_d, g) / a^(d (D-1)) for d = 1..n_max.
-
-    a = lc(f), g(y) = a^(D-1) f(y/a) is the monic minimal polynomial of
-    a*beta, and Q_d = a^d T_d(beta) runs as a length-D vector in Z[y]/(g):
-    Q_0 = 2, Q_1 = y, Q_{d+1} = y Q_d - a^2 Q_{d-1}. As g is monic the
-    resultant is prod_j (2 a^d - Q_d(a beta_j)) = a^(dD) prod_j (2 -
-    T_d(beta_j)), so the division is exact. Degree 2 takes the norm of
-    U + V y in closed form, U^2 - g_1 U V + g_0 V^2.
-    """
-    a, deg = f.leading, f.degree
-    monic = f.scaled_monic()
-    g = monic.coeffs
-    a2, a_lift = a * a, a ** (deg - 1)
-    q_prev, q = [2] + [0] * (deg - 1), [0, 1] + [0] * (deg - 2)
-    a_d, scale = 1, 1
-    for _ in range(n_max):
-        a_d *= a
-        scale *= a_lift
-        if deg == 2:
-            u, v = 2 * a_d - q[0], -q[1]
-            norm = u * u - g[1] * u * v + g[0] * v * v
-        else:
-            h = IntPoly.from_coeffs([2 * a_d - q[0], *(-c for c in q[1:])])
-            norm = resultant(h, monic) if not h.is_zero else 0
-        value, rem = divmod(norm, scale)
-        if rem:
-            raise ArithmeticError("pairing sieve lost exactness")  # pragma: no cover
-        yield value
-        top = q[-1]
-        shifted = [-top * g[0]] + [q[i - 1] - top * g[i] for i in range(1, deg)]
-        q_prev, q = q, [y - a2 * x for y, x in zip(shifted, q_prev)]
-
-
 class PairingSieve:
     """log|F_N| and v_p(F_N) for every N <= n_max and beta of any degree.
 
-    One recurrence pass gives G_d = lc^d Norm(2 - T_d(beta)) for d <= n_max:
-    for rational beta = r/s, G_d = 2 s^d - Q_d with Q_d = s^d T_d(beta)
-    (``_rational_factors``); above degree 1 each G_d is one resultant of
-    degree-D size (``_algebraic_factors``). As 2 - T_d(w + 1/w) = -(w^d -
-    1)^2 / w^d splits over the orders e | d, G_d = +-F_1 F_2^[2 | d]
+    One pass of the recurrence ``pairing_value`` reads, Q_d = a^d T_d(beta)
+    in Z[y]/(g) (``_scaled_chebyshev``), gives G_d = a^d Norm(2 - T_d(beta))
+    = Norm(2 a^d - Q_d) / a^(d(D-1)) (``_norm``) for d <= n_max, with a =
+    lc(f_beta): 2 s^d - Q_d for rational beta = r/s. As 2 - T_d(w + 1/w) =
+    -(w^d - 1)^2 / w^d splits over the orders e | d, G_d = +-F_1 F_2^[2 | d]
     prod_{3 <= e | d} F_e^2, and Moebius inversion gives prod_{d | N}
     G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2: the divisor-product
     form of cyclotomic values (Arnold & Monagan, Math. Comp. 80, 2011). Only
     log|G_d| and v_p(G_d) for the given primes are kept, so the sign of F_N
     is lost; every reader is sign-free. The cost is one recurrence to n_max
-    plus a divisor sum per N, against a pairing recurrence or resultant per
-    N for ``pairing_value``.
+    plus a divisor sum per N, against a recurrence to the orbit size per N
+    for ``pairing_value``.
 
     G_d = 0 exactly when T_d(beta) = 2, that is when beta lies in an orbit
     of order dividing d; the first such d is that order, and it is rejected
@@ -358,23 +358,22 @@ class PairingSieve:
     """
 
     def __init__(self, beta, n_max: int, primes=()):
-        if isinstance(beta, AlgebraicNumber) and not beta.is_rational:
-            factors = _algebraic_factors(beta.minpoly, n_max)
-            what = f"a root of {beta.minpoly}"
-        else:
-            beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-            factors = _rational_factors(beta.numerator, beta.denominator, n_max)
-            what = str(beta)
-        self.beta = beta
+        self.beta, f, what = _pairing_beta(beta)
+        a, lift = f.leading, f.leading ** (f.degree - 1)
+        monic = f.scaled_monic()
         log_g = [0.0] * (n_max + 1)
         val_g = {p: [0] * (n_max + 1) for p in primes}
-        for d, g in enumerate(factors, 1):
-            if g == 0:
+        two_a_d, scale = 2, 1
+        for d, q in zip(range(1, n_max + 1), _scaled_chebyshev(f)):
+            two_a_d *= a
+            scale *= lift
+            g_d = _norm([two_a_d - q[0], *(-c for c in q[1:])], monic, scale)
+            if g_d == 0:
                 raise PreperiodicInputError(f"beta = {what} is a conjugate of the order-{d} orbit")
-            log_g[d] = math.log(abs(g))
+            log_g[d] = math.log(abs(g_d))
             for p, vals in val_g.items():
-                if g % p == 0:
-                    vals[d] = padic_valuation(g, p)
+                if g_d % p == 0:
+                    vals[d] = padic_valuation(g_d, p)
         self._log = [0.0] * (n_max + 1)
         self._val = {p: [0] * (n_max + 1) for p in primes}
         for n in range(1, n_max + 1):

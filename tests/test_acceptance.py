@@ -29,7 +29,6 @@ from chebdyn import (
     euler_phi,
     near_orbit_scan,
     orbit_size,
-    orbit_value,
     preperiodic_orbit,
     weil_height_rational,
 )
@@ -40,6 +39,7 @@ from chebdyn.chebyshev import (
     minpoly_conjugate_residuals,
     minpoly_identity_mod,
     minpoly_spot_checks,
+    orbit_value,
 )
 from chebdyn.equidist import (
     arch_discrepancy_fast,

@@ -17,7 +17,6 @@ from chebdyn import (
     is_preperiodic_rational,
     orbit_generator_height,
     orbit_size,
-    orbit_value,
     preperiodic_orbit,
     proximity_bound_check,
     resultant,
@@ -34,6 +33,7 @@ from chebdyn.chebyshev import (
     minpoly_identity_exact,
     minpoly_identity_mod,
     orbit_norm_quadratic,
+    orbit_value,
     preperiodic_order_of_minpoly,
 )
 

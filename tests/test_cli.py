@@ -170,6 +170,15 @@ def test_usage_errors_exit_one(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("place", ["x", "4", "3,5"])
+def test_equidist_bad_place_is_a_usage_error(place, capsys):
+    assert main(["equidist", "--beta=3", f"--place={place}", "--Nmax=10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_precision_error_exits_three(capsys):
     # two roots closer than the 256-bit ceiling can separate: the
     # irreducibility test cannot certify them, which is not a usage error
@@ -271,16 +280,19 @@ def test_cubic_irreducibility_runs_without_sympy():
 
 def test_bench_tracer_resolves_traced_names(tmp_path):
     # the tracer wraps functions by name and rebinds module globals, so it
-    # runs in its own interpreter; a renamed traced function breaks it here
+    # runs in its own interpreter; a renamed traced function breaks it here.
+    # A cubic beta's single-N pairing must not expand psi_N.
     root = Path(__file__).resolve().parents[1]
     spans = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    argv = ["sintegral", "--beta=97/89", "--N=30", "--S=inf,5"]
-    proc = subprocess.run(
-        [sys.executable, str(root / "bench" / "tracing.py"), str(spans), "0", *argv],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert "integrality.pairing_value" in names
+    for beta in ("97/89", "poly:-3,1,2,5"):
+        argv = ["sintegral", f"--beta={beta}", "--N=30", "--S=inf,5"]
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "tracing.py"), str(spans), "0", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert "integrality.pairing_value" in names
+        assert "chebyshev.halved_minpoly" not in names

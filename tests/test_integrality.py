@@ -22,8 +22,10 @@ from chebdyn import (
     newton_polygon_valuations,
     padic_valuation,
     preperiodic_orbit,
+    resultant,
     root_of_unity_valuation,
 )
+from chebdyn.chebyshev import halved_minpoly, orbit_norm_quadratic, orbit_value
 from chebdyn.errors import CoincidentPointsError
 from chebdyn.factorint import factor_counts, primes_upto, strip_primes
 from chebdyn.integrality import PairingSieve, orbit_shift_poly, pairing_value, scan_orbits
@@ -106,8 +108,8 @@ def test_meeting_primes_rejects_conjugate():
 
 
 def test_pairing_value_rejects_beta_in_the_orbit():
-    # one beta per route: the rational recurrence, the quadratic norm
-    # recurrence (golden ratio, order 10), the generic resultant (psi_7)
+    # one beta per norm form of the shared kernel: degree 1, the closed-form
+    # quadratic norm (golden ratio, order 10), the resultant (a root of psi_7)
     cases = (
         (Fraction(1), 6),
         (algebraic_number([-1, -1, 1]), 10),
@@ -138,7 +140,9 @@ def test_pairing_sieve_matches_pairing_value():
         sieve = PairingSieve(beta, 300, primes)
         expected_rows = []
         for n in range(1, 301):
-            f = pairing_value(n, beta)
+            f = orbit_value(n, beta)  # an independent oracle of the pairing
+            if n <= 120:
+                assert pairing_value(n, beta) == f, (beta, n)
             assert abs(sieve.log_abs(n) - math.log(abs(f))) < 1e-9, (beta, n)
             vals = [padic_valuation(f, p) for p in primes]
             assert [sieve.valuation(n, p) for p in primes] == vals, (beta, n)
@@ -164,6 +168,12 @@ def _wandering_algebraic(rng: random.Random, degree: int, coeff: int):
             continue
 
 
+def _pairing_oracle(n: int, f: IntPoly) -> int:
+    """res(psi_n, f) by the routes the kernel does not share: the quadratic
+    norm recurrence, or psi_n expanded and a subresultant."""
+    return orbit_norm_quadratic(n, f) if f.degree == 2 else resultant(halved_minpoly(n), f)
+
+
 def test_pairing_sieve_matches_pairing_value_above_degree_one():
     # seeded betas drawn like the algebraic bench scans, plus two with lead
     # 13 = 52/4: with S = {2, 3, 5, 7, 11}, lead primes sit inside S and
@@ -180,7 +190,8 @@ def test_pairing_sieve_matches_pairing_value_above_degree_one():
         sieve = PairingSieve(beta, n_max, primes)
         expected_rows = []
         for n in range(1, n_max + 1):
-            f = pairing_value(n, beta)
+            f = _pairing_oracle(n, beta.minpoly)
+            assert pairing_value(n, beta) == f, (beta.minpoly, n)
             assert abs(sieve.log_abs(n) - math.log(abs(f))) < 1e-9, (beta.minpoly, n)
             vals = [padic_valuation(f, p) for p in primes]
             assert [sieve.valuation(n, p) for p in primes] == vals, (beta.minpoly, n)
@@ -194,6 +205,14 @@ def test_pairing_sieve_matches_pairing_value_above_degree_one():
         assert got == expected_rows, beta.minpoly
     assert {beta.degree for beta, _ in betas} == {2, 3, 4}
     assert hits[True] and hits[False]
+
+
+def test_pairing_value_expands_no_minpoly():
+    beta = algebraic_number([-3, 1, 2, 5])
+    before = halved_minpoly.cache_info()
+    value = pairing_value(2000, beta)
+    assert halved_minpoly.cache_info() == before
+    assert value == _pairing_oracle(2000, beta.minpoly)
 
 
 @pytest.mark.parametrize("coeffs, order", [([-1, -2, 1, 1], 7), ([-1, 1, 1], 5)])
@@ -261,8 +280,6 @@ def test_dual_oracle_small():
     for _ in range(400):
         n = rng.randint(1, 40)
         beta = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        from chebdyn import orbit_value
-
         f_val = orbit_value(n, beta)
         if f_val == 0:
             continue
@@ -281,8 +298,6 @@ def test_two_sided_integrality_symmetry():
     # no conjugate pair is p-adically close (both points p-integral), or the
     # denominator primes of beta force chordal distance 1 against the
     # integral conjugates of alpha (the exchanged-roles condition)
-    from chebdyn import orbit_value
-
     rng = random.Random(29)
     count = 0
     while count < 200:
