@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import mpmath as mp
-
 from .chebyshev import preperiodic_order_of_minpoly, rational_preperiodic_order
 from .errors import DomainError, PrecisionError
 from .intpoly import IntPoly, _pseudo_rem
@@ -43,6 +41,8 @@ def _subset_factor(roots: CertifiedRoots, subset, a: int):
     sums behind e_j(M) - e_j(A) ((4k + 6j + 2) u). The disc takes twice
     that, 32 (k + 2) u e_j(M).
     """
+    import mpmath as mp
+
     k = len(subset)
     with mp.workprec(roots.prec):
         am = mp.mpf(a)

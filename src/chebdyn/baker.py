@@ -23,9 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-import numpy as np
-
 from .algebraic import AlgebraicNumber
 from .cfrac import cf_convergents
 from .chebyshev import is_preperiodic_rational, preperiodic_orbit
@@ -78,6 +75,8 @@ def baker_lower_bound(inst: BakerInstance) -> float:
 
 def _refined_embedding(beta: AlgebraicNumber, prec: int):
     """Newton-polish the stored embedding at ``prec`` bits; returns (z, radius)."""
+    import mpmath as mp
+
     coeffs_high = list(reversed(beta.minpoly.coeffs))
     n = beta.degree
     deriv_high = [c * (n - i) for i, c in enumerate(coeffs_high[:-1])]
@@ -103,6 +102,8 @@ def certified_angle(beta: AlgebraicNumber, prec: int = 128):
     Requires |beta| = 1 within the certification radius and beta not a root
     of unity (zero height would make the angle rational).
     """
+    import mpmath as mp
+
     if weil_height_algebraic(beta).value < 1e-10:
         raise DomainError("beta is a root of unity (zero height)")
     z, r = _refined_embedding(beta, prec)
@@ -155,6 +156,8 @@ def angle_rational_gap(
     prec: int = 192,
 ) -> AngleGapRecord:
     """Check log|a/N - theta_0| >= -C_eps D^3 h(beta) N^eps for one a/N."""
+    import mpmath as mp
+
     if n == 0 or abs(n) == 1:
         raise DomainError("N must satisfy |N| >= 2")
     if math.gcd(a, n) != 1:
@@ -197,6 +200,8 @@ def assembled_constant(beta: AlgebraicNumber, eps: float) -> float:
     majorant is located on a dense log grid; the function decays like
     (log N)^2 / N^eps past its single interior peak.
     """
+    import numpy as np
+
     if eps <= 0:
         raise DomainError("eps must be positive")
     d = beta.degree

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import DomainError
 from .numerics import ApproxReal
 
@@ -30,6 +28,8 @@ class ConvergentList:
 
 
 def _to_interval(theta) -> tuple[Fraction, Fraction]:
+    import mpmath as mp
+
     if isinstance(theta, (int, Fraction)):
         q = Fraction(theta)
         return q, q

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .errors import DomainError
 from .factorint import euler_phi
 from .intpoly import IntPoly
@@ -75,6 +73,8 @@ def radical(n: int) -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic_squarefree(m: int) -> np.ndarray:
     """Coefficients of Phi_m for squarefree m, exact in int64."""
+    import numpy as np
+
     if m == 1:
         return np.array([-1, 1], dtype=np.int64)
     primes = distinct_primes(m)
@@ -255,6 +255,8 @@ ORBIT_COS_ERROR = 2.2e-15
 def conjugates_fast(n: int) -> np.ndarray:
     """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, in
     float64: each within ORBIT_COS_ERROR, and exact for n <= 2."""
+    import numpy as np
+
     if n == 1:
         return np.array([2.0])
     if n == 2:
@@ -359,6 +361,8 @@ def preperiodic_order_of_minpoly(f: IntPoly, search_bound: int | None = None) ->
     if d == 1:
         q = Fraction(-f.coeffs[0], f.coeffs[1])
         return rational_preperiodic_order(q) if q.denominator == 1 else None
+    if f.leading != 1:
+        return None  # every psi_N is monic
     bound = search_bound or (8 * d * d + 16)
     for n in range(3, bound + 1):
         if orbit_size(n) == d and halved_minpoly(n) == f:
@@ -408,6 +412,8 @@ def orbit_norm_quadratic(n: int, f: IntPoly) -> int:
     recurrence for a^k T_k(beta), then takes the quadratic norm. Matches
     the resultant convention res(psi, f) = a^deg(psi) psi(beta) psi(beta').
     """
+    if n < 1:
+        raise DomainError("order must be positive")
     if f.degree != 2:
         raise DomainError("quadratic norm path needs a degree-2 polynomial")
     c, b, a = f.coeffs
@@ -456,6 +462,8 @@ def minpoly_conjugate_residuals(n: int) -> np.ndarray:
     keeps every term O(1), so the residual is a faithful float measure of
     the construction instead of a catastrophic cancellation artifact.
     """
+    import numpy as np
+
     m, dk = symmetric_coeffs(n)
     ks = np.array([k for k in dk if k > 0], dtype=np.float64)
     es = np.array([dk[k] for k in dk if k > 0], dtype=np.float64)
@@ -500,23 +508,32 @@ def minpoly_identity_mod(n: int, p: int = _IDENTITY_PRIME) -> bool:
     as a Laurent numerator; equality mod a 31-bit prime is a sharp
     consistency check between the monomial coefficients and the cyclotomic
     source (exact equality over Z is covered separately for moderate n).
+    p must stay below 2^61 so that int64 holds a step.
     """
+    import numpy as np
+
     if n <= 2:
         return True
-    b = halved_minpoly(n).coeffs
+    b = [x % p for x in halved_minpoly(n).coeffs]
     m = len(b) - 1
-    bm = np.array([x % p for x in b], dtype=np.int64)
+    # k steps from entries below p leave them below 2^(k+1) p, so int64 holds
+    # ``lazy`` steps between reductions
+    lazy = 62 - p.bit_length()
     h = np.zeros(2 * m + 1, dtype=np.int64)
-    h[0] = bm[m]
+    g = np.zeros_like(h)
+    h[0] = b[m]
     ln = 1
     for j in range(m - 1, -1, -1):
-        new = np.zeros(ln + 2, dtype=np.int64)
-        new[:ln] = h[:ln]
-        new[2 : 2 + ln] += h[:ln]
-        new[m - j] += bm[j]
-        new %= p
-        h[: ln + 2] = new
+        # g = (1 + z^2) h + b_j z^(m-j); each buffer is still zero past the
+        # length it last held, so the two swap with no allocation
+        np.add(h[2 : ln + 2], h[:ln], out=g[2 : ln + 2])
+        g[:2] = h[:2]
+        g[m - j] += b[j]
+        h, g = g, h
         ln += 2
+        if (m - j) % lazy == 0:
+            h %= p
+    h %= p
     phi = np.zeros(2 * m + 1, dtype=np.int64)
     r = radical(n)
     q = n // r

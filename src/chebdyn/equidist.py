@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-import numpy as np
-
 from .algebraic import AlgebraicNumber
 from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, orbit_size
 from .chebyshev import conjugates_fast  # noqa: F401  (traced under this module by bench/tracing.py)
@@ -70,6 +67,8 @@ def quadrature_potential(beta, prec_digits: int = 25) -> float:
     Independent oracle for equilibrium_potential; splits at the interior
     singularity when beta lies on the support.
     """
+    import mpmath as mp
+
     z = complex(beta)
     with mp.workdps(prec_digits):
         zz = mp.mpc(z)
@@ -90,6 +89,8 @@ def log_plus_integral() -> float:
 
     Computed once by adaptive quadrature to well below 1e-10 and cached.
     """
+    import mpmath as mp
+
     with mp.workdps(40):
         val = 2 / mp.pi * mp.quad(lambda t: mp.log(2 * mp.cos(t)), [0, mp.pi / 3])
         return float(val)
@@ -118,6 +119,8 @@ def lambda_integral(beta, place: Place = ARCH) -> float:
 
 
 def _arch_average_mp(orbit: PreperiodicOrbit, beta: Fraction, prec: int) -> float:
+    import mpmath as mp
+
     r, s = beta.numerator, beta.denominator
     with mp.workprec(prec):
         denom_b = mp.mpf(max(abs(r), s))
@@ -206,6 +209,8 @@ def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -
     which already accounts for every meeting prime and gives denominator
     primes their zero contribution.
     """
+    import mpmath as mp
+
     beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
     f_val = pairing_value(orbit.order, beta)
     arch = _arch_average_mp(orbit, beta, prec)
@@ -351,6 +356,8 @@ def fitted_slope(sizes, discrepancies) -> float:
     Zero discrepancies (exact-vanishing rows) are left out of the fit; with
     fewer than two usable rows the slope is reported as 0.
     """
+    import numpy as np
+
     xs = np.asarray(sizes, dtype=float)
     ys = np.asarray(discrepancies, dtype=float)
     keep = ys > 0
@@ -413,6 +420,8 @@ def az_pairing_estimate(beta, n_max: int, min_size: int = 1, tol: float = 1e-10)
 
 def measure_invariance_gap(d: int, monomial_degree: int, prec_digits: int = 25) -> float:
     """|int f(T_d(x)) dmu - int f dmu| for f = x^k: the invariance witness."""
+    import mpmath as mp
+
     with mp.workdps(prec_digits):
         def lhs(t):
             return cheb_eval(d, 2 * mp.cos(t)) ** monomial_degree

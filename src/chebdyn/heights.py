@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-import mpmath as mp
-import numpy as np
-
 from .algebraic import AlgebraicNumber, algebraic_number
 from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugates_fast, is_preperiodic_rational
 from .errors import ChebdynError, DomainError, PrecisionError
@@ -92,6 +89,8 @@ def orbit_generator_height(n: int) -> HeightValue:
     h(alpha_n); the 1% pad on (m + 2) u v covers gamma's denominator and
     y / v while (m + 2) u < 10^-3.
     """
+    import numpy as np
+
     x = conjugates_fast(n)
     v = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
     return HeightValue(v, ORBIT_COS_ERROR + 1.01 * (x.size + 2) * 2.0**-53 * v, "mahler-numeric")
@@ -147,6 +146,8 @@ def _escape_limit(cheb: ChebMap, disc_at, k0: int, tol: float):
     with the step count) drops under tol. Raises PrecisionError at the
     ceiling.
     """
+    import mpmath as mp
+
     d = cheb.degree
     thresh = _escape_threshold(cheb)
     sd_deriv = sum(abs(c) for c in cheb.poly.derivative().coeffs)
@@ -213,6 +214,8 @@ def _canonical_height_rational(x: Fraction, cheb: ChebMap, tol: float) -> Height
     num, den = cur.numerator, cur.denominator
 
     def disc_at(prec):
+        import mpmath as mp
+
         with mp.workprec(prec):
             center = mp.mpf(num) / mp.mpf(den)
             return center, abs(center) * float(mp.mpf(2) ** (4 - prec))
@@ -228,6 +231,8 @@ def _canonical_height_rational(x: Fraction, cheb: ChebMap, tol: float) -> Height
 
 
 def _canonical_height_algebraic(beta: AlgebraicNumber, cheb: ChebMap, tol: float) -> HeightValue:
+    import mpmath as mp
+
     if beta.is_preperiodic:
         return HeightValue(0.0, 0.0, "exact-rational")
     deg = beta.degree
@@ -286,6 +291,8 @@ def canonical_height_closed_form(x, prec: int = 80) -> float:
     log|w| (zero on [-2,2]); finite places contribute log(denominator) for
     a monic integer map. Used by tests to cross-check the iteration.
     """
+    import mpmath as mp
+
     x = Fraction(x)
     with mp.workprec(prec):
         log_q = mp.log(x.denominator) if x.denominator > 1 else mp.mpf(0)

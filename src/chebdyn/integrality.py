@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
-import numpy as np
-
 from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
@@ -578,6 +575,9 @@ def arch_proximity(orbit: PreperiodicOrbit, beta) -> float:
     uncertainty of a conjugate; a genuine coincidence (zero pairing value)
     raises.
     """
+    import mpmath as mp
+    import numpy as np
+
     if isinstance(beta, AlgebraicNumber):
         b, berr = complex(beta.embedding.value), beta.embedding.error_bound
     else:

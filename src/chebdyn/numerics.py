@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import mpmath as mp
-
 DEFAULT_PRECISION_BITS = 256
 
 #: float64 unit roundoff, used when downgrading mpf values to floats
@@ -78,5 +76,7 @@ def cos_two_pi(numerator: int, denominator: int, prec: int = 64) -> mp.mpf:
     Uses cospi on the exact rational angle, so the only error is the final
     rounding (a few ulps at working precision).
     """
+    import mpmath as mp
+
     with mp.workprec(prec + 8):
         return 2 * mp.cospi(mp.mpf(2 * numerator) / denominator)

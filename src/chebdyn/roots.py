@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .errors import DomainError, PrecisionError
 from .intpoly import IntPoly, resultant
 from .numerics import ApproxComplex, FLOAT_EPS, precision_ladder
@@ -24,6 +22,8 @@ from .numerics import ApproxComplex, FLOAT_EPS, precision_ladder
 
 def _horner_with_error(coeffs_high, z, prec):
     """(value, rigorous bound on the evaluation rounding error)."""
+    import mpmath as mp
+
     n = len(coeffs_high) - 1
     acc = mp.mpc(coeffs_high[0])
     mag = mp.mpf(abs(coeffs_high[0]))
@@ -85,6 +85,8 @@ def complex_roots(f: IntPoly, precision: float = 1e-12) -> list[ApproxComplex]:
 
 def certified_roots(f: IntPoly, precision: float = 1e-12) -> CertifiedRoots:
     """The roots behind ``complex_roots``, kept at their working precision."""
+    import mpmath as mp
+
     if f.is_zero:
         raise DomainError("zero polynomial has no well-defined root set")
     if f.degree == 0:

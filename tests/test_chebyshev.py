@@ -242,6 +242,23 @@ def test_preperiodic_order_of_minpoly():
     assert preperiodic_order_of_minpoly(IntPoly.of(-3, 1)) is None
 
 
+def test_preperiodic_order_of_minpoly_against_sympy():
+    x = sympy.Symbol("x")
+    # every psi_N is monic, so a non-monic f is ruled out before any psi_N is built
+    halved_minpoly.cache_clear()
+    for f in (IntPoly.of(-1, 1, 3), IntPoly.of(-3, 1, 2, 5), IntPoly.of(2, -1, 0, 3, 2)):
+        assert sympy.Poly(list(f.coeffs[::-1]), x).is_irreducible
+        for g in (f, -f, f * IntPoly.of(6)):
+            assert preperiodic_order_of_minpoly(g) is None
+    assert halved_minpoly.cache_info().misses == 0
+    for n in range(3, 61):
+        ref = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / n), x, polys=True)
+        f = IntPoly.from_coeffs([int(c) for c in ref.all_coeffs()[::-1]])
+        assert preperiodic_order_of_minpoly(f) == n
+        assert preperiodic_order_of_minpoly(-f) == n
+    assert halved_minpoly.cache_info().misses > 0
+
+
 def test_orbit_value_matches_minpoly_evaluation():
     rng = random.Random(88)
     for _ in range(250):
@@ -264,6 +281,14 @@ def test_orbit_norm_quadratic_matches_resultant():
         n = rng.randint(1, 40)
         assert orbit_norm_quadratic(n, f) == resultant(halved_minpoly(n), f)
         tried += 1
+
+
+def test_orbit_norm_quadratic_rejects_nonpositive_order():
+    f = IntPoly.of(-1, 1, 3)
+    assert orbit_norm_quadratic(2, f) == 9
+    for n in (0, -5):
+        with pytest.raises(DomainError):
+            orbit_norm_quadratic(n, f)
 
 
 def test_conjugates_inside_julia_interval():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -234,15 +235,19 @@ print(json.dumps([after_import, runs, loaded()]))
 """
 
 
-def _fresh_run(mode, argvs):
+def _run_script(script, *args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_RUN, mode, json.dumps(argvs)],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def _fresh_run(mode, argvs):
+    return _run_script(_FRESH_RUN, mode, json.dumps(argvs))
 
 
 def test_sympy_stays_off_rational_and_quadratic_paths():
@@ -267,6 +272,60 @@ def test_sympy_stays_off_rational_and_quadratic_paths():
     assert 2 in {b["degree"] for b in json.loads(plain[5][1])["results"]["perBeta"]}
     assert [json.loads(plain[i][1])["results"]["degree"] for i in (6, 8)] == [3, 4]
     assert all(json.loads(plain[i][1])["results"]["sIntegralOrbits"] for i in (7, 9))
+
+
+# Runs main() on one argv in a fresh interpreter and prints [heavy modules
+# loaded after import chebdyn.cli, exit code, heavy modules loaded at the end].
+_HEAVY_RUN = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in ("numpy", "mpmath", "sympy") if m in sys.modules)
+import chebdyn.cli
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chebdyn.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([after_import, code, loaded()]))
+"""
+
+
+def _heavy_modules(argv):
+    return _run_script(_HEAVY_RUN, json.dumps(argv))
+
+
+def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
+    exact = [
+        ["scan", "--beta", "3", "--S", "inf,2,3,5,11", "--Nmax", "12"],
+        ["theorem2", "--S", "inf,2,3", "--trials", "4", "--Nmax", "60", "--seed", "3", "--Dcap", "1"],
+        ["cheb", "--n", "5", "--at", "3/7"],
+        ["height", "--beta", "7/3"],
+        ["canonical-height", "--beta", "7/3"],
+    ]
+    for argv in exact:
+        assert _heavy_modules(argv) == [[], 0, []], argv
+    # a non-monic cubic reads mpmath for its roots but builds no psi_N
+    argv = ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"]
+    after_import, code, loaded = _heavy_modules(argv)
+    assert after_import == [] and code == 0 and "numpy" not in loaded
+
+
+def test_no_module_imports_numpy_mpmath_or_sympy_at_load():
+    heavy = {"numpy", "mpmath", "sympy"}
+    src = Path(__file__).resolve().parents[1] / "src" / "chebdyn"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # runs only when called
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in heavy]
+            stack.extend(ast.iter_child_nodes(node))
+    assert not found
 
 
 def test_cubic_irreducibility_runs_without_sympy():
