@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate
+from operator import sub
 
 from .errors import DomainError
 from .factorint import euler_phi
@@ -29,7 +30,7 @@ from .intpoly import IntPoly
 from .numerics import ApproxReal, cos_two_pi
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials (numpy int64, exact: coefficients stay tiny)
+# cyclotomic polynomials (exact integers, one truncated power series)
 # ---------------------------------------------------------------------------
 
 _SPF_LIMIT = 1 << 14
@@ -63,80 +64,61 @@ def distinct_primes(n: int) -> list[int]:
     return out
 
 
-def radical(n: int) -> int:
-    r = 1
+def moebius_divisors(n: int) -> list[tuple[int, int]]:
+    """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0."""
+    terms = [(n, 1)]
     for p in distinct_primes(n):
-        r *= p
-    return r
+        terms += [(d // p, -mu) for d, mu in terms]
+    return terms
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_squarefree(m: int) -> np.ndarray:
-    """Coefficients of Phi_m for squarefree m, exact in int64."""
-    import numpy as np
+def _cyclotomic_half(n: int) -> tuple[int, ...]:
+    """c_0..c_m of Phi_n for n >= 3, m = phi(n)/2: the lower half of the
+    palindrome.
 
-    if m == 1:
-        return np.array([-1, 1], dtype=np.int64)
-    primes = distinct_primes(m)
-    plus, minus = [], []
-    for r in range(len(primes) + 1):
-        for sub in combinations(primes, r):
-            d = math.prod(sub)
-            (plus if r % 2 == 0 else minus).append(m // d)
-    f = np.zeros(sum(plus) + 1, dtype=np.int64)
-    f[0] = 1
-    ln = 1
-    for d in plus:
-        # f *= (x^d - 1)
-        g = np.zeros(ln + d, dtype=np.int64)
-        g[d : d + ln] = f[:ln]
-        g[:ln] -= f[:ln]
-        f, ln = g, ln + d
-    for d in minus:
-        # f /= (x^d - 1); each residue chain solves h_i = h_{i-d} - g_i
-        rows = -(-ln // d)
-        pad = np.zeros(rows * d, dtype=np.int64)
-        pad[:ln] = f[:ln]
-        f = -np.cumsum(pad.reshape(rows, d), axis=0).ravel()
-        ln -= d
-    return f[:ln].copy()
+    Phi_n = prod_{d | n} (1 - x^d)^mu(n/d) for n > 1 (the signs cancel), read
+    as a power series truncated past x^m (Arnold & Monagan, Math. Comp. 80,
+    2011): a factor with d > m is 1 there, and sum mu(n/d) d = 2m.
+    """
+    terms = moebius_divisors(n)
+    m = sum(mu * d for d, mu in terms) // 2
+    c = [1] + [0] * m
+    for d, mu in terms:
+        if d > m:
+            continue
+        if mu > 0:  # times (1 - x^d)
+            c[d:] = map(sub, c[d:], c[: m + 1 - d])
+        else:  # over (1 - x^d): each residue chain mod d is a running sum
+            for r in range(d):
+                c[r::d] = accumulate(c[r::d])
+    return tuple(c)
 
 
 def cyclotomic_coeffs(n: int) -> list[int]:
     """Coefficients of Phi_n, lowest degree first."""
     if n < 1:
         raise DomainError("cyclotomic index must be positive")
-    r = radical(n)
-    q = n // r
-    c = _cyclotomic_squarefree(r)
-    if q == 1:
-        return [int(x) for x in c]
-    out = [0] * ((len(c) - 1) * q + 1)
-    for j, x in enumerate(c):
-        out[j * q] = int(x)
-    return out
+    if n <= 2:
+        return [-1, 1] if n == 1 else [1, 1]
+    c = _cyclotomic_half(n)
+    return [*c, *c[-2::-1]]
 
 
 def symmetric_coeffs(n: int) -> tuple[int, dict[int, int]]:
     """(m, {k: d_k}) with psi_n = d_0 + sum_{k>=1} d_k T_k of degree m.
 
     For n >= 3 that is Phi_n(z)/z^m = d_0 + sum_{k>=1} d_k (z^k + z^-k), Phi_n
-    being palindromic of even degree 2m; psi_1 = x - 2 and psi_2 = x + 2.
+    being palindromic of even degree 2m, so d_{m-j} = c_j; psi_1 = x - 2 and
+    psi_2 = x + 2.
     """
     if n < 1:
         raise DomainError("order must be positive")
     if n <= 2:
         return 1, {0: -2 if n == 1 else 2, 1: 1}
-    r = radical(n)
-    q = n // r
-    c = _cyclotomic_squarefree(r)
-    m = (len(c) - 1) * q // 2
-    dk: dict[int, int] = {}
-    for j, x in enumerate(c):
-        k = j * q - m
-        if k >= 0 and x:
-            dk[k] = int(x)
-    return m, dk
+    c = _cyclotomic_half(n)
+    m = len(c) - 1
+    return m, {k: c[m - k] for k in range(m + 1) if c[m - k]}
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +447,8 @@ def minpoly_conjugate_residuals(n: int) -> np.ndarray:
     import numpy as np
 
     m, dk = symmetric_coeffs(n)
-    ks = np.array([k for k in dk if k > 0], dtype=np.float64)
-    es = np.array([dk[k] for k in dk if k > 0], dtype=np.float64)
+    ks = sorted(k for k in dk if k)  # a fixed summation order
+    es = np.array([dk[k] for k in ks], dtype=np.float64)
     a = np.array(coprime_residues_half(n), dtype=np.float64)
     vals = 2.0 * np.cos(np.outer(a, ks) * (2 * np.pi / n)) @ es
     return np.abs(vals + dk.get(0, 0))
@@ -534,12 +516,7 @@ def minpoly_identity_mod(n: int, p: int = _IDENTITY_PRIME) -> bool:
         if (m - j) % lazy == 0:
             h %= p
     h %= p
-    phi = np.zeros(2 * m + 1, dtype=np.int64)
-    r = radical(n)
-    q = n // r
-    c = _cyclotomic_squarefree(r)
-    phi[:: q][: len(c)] = c
-    return bool(np.array_equal(h, phi % p))
+    return h.tolist() == [c % p for c in cyclotomic_coeffs(n)]
 
 
 def minpoly_identity_exact(n: int) -> bool:

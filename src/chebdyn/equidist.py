@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebraic import AlgebraicNumber
 from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, orbit_size
@@ -83,17 +82,14 @@ def quadrature_potential(beta, prec_digits: int = 25) -> float:
         return float(val)
 
 
-@lru_cache(maxsize=1)
 def log_plus_integral() -> float:
     """kappa = int log+ |x| dmu(x) = (2/pi) int_0^{pi/3} log(2 cos t) dt.
 
-    Computed once by adaptive quadrature to well below 1e-10 and cached.
+    In closed form kappa = Cl_2(pi/3) / pi with Clausen's Cl_2, which is
+    Smyth's Mahler measure m(1 + x + y) = 3 sqrt(3) L(chi_-3, 2) / (4 pi); the
+    constant below is that value rounded to the nearest double.
     """
-    import mpmath as mp
-
-    with mp.workdps(40):
-        val = 2 / mp.pi * mp.quad(lambda t: mp.log(2 * mp.cos(t)), [0, mp.pi / 3])
-        return float(val)
+    return 0.32306594721945053
 
 
 def lambda_integral(beta, place: Place = ARCH) -> float:

@@ -184,19 +184,14 @@ def _escape_limit(cheb: ChebMap, disc_at, k0: int, tol: float):
 def _canonical_height_rational(x: Fraction, cheb: ChebMap, tol: float) -> HeightValue:
     if is_preperiodic_rational(x):
         return HeightValue(0.0, 0.0, "exact-rational")
-    d = cheb.degree
     log_q = math.log(x.denominator) if x.denominator > 1 else 0.0
+    if abs(x) <= 2:
+        # T_d maps [-2, 2] into itself: the whole forward orbit stays there,
+        # so the limit term vanishes
+        return HeightValue(log_q, 4e-16 * (1 + log_q), "iteration-limit")
     cur = x
     k = 0
-    while abs(cur) <= 2:
-        bits = max(cur.numerator.bit_length(), cur.denominator.bit_length())
-        if bits > EXACT_BIT_CAP:
-            # exact point inside the invariant interval [-2,2]: the whole
-            # forward orbit stays there, so the limit term vanishes
-            return HeightValue(log_q, 4e-16 * (1 + log_q), "iteration-limit")
-        cur = cheb(cur)
-        k += 1
-    # escaped with an exact rational iterate: keep iterating exactly until the
+    # an exact rational outside [-2, 2]: keep iterating exactly until the
     # certified tail of the limit drops under tol (a handful of steps: the
     # drift shrinks doubly exponentially once past the threshold)
     thresh = _escape_threshold(cheb)

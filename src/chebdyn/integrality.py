@@ -30,8 +30,8 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
-    distinct_primes,
     is_preperiodic_rational,
+    moebius_divisors,
     orbit_size,
     preperiodic_orbit,
     symmetric_coeffs,
@@ -325,14 +325,6 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
 COFACTOR_LOG_CUTOFF = 0.34
 
 
-def _moebius_divisors(n: int) -> list[tuple[int, int]]:
-    """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0."""
-    terms = [(n, 1)]
-    for p in distinct_primes(n):
-        terms += [(d // p, -mu) for d, mu in terms]
-    return terms
-
-
 class PairingSieve:
     """log|F_N| and v_p(F_N) for every N <= n_max and beta of any degree.
 
@@ -374,7 +366,7 @@ class PairingSieve:
         self._log = [0.0] * (n_max + 1)
         self._val = {p: [0] * (n_max + 1) for p in primes}
         for n in range(1, n_max + 1):
-            terms = _moebius_divisors(n)
+            terms = moebius_divisors(n)
             half = 2 if n >= 3 else 1
             self._log[n] = sum(mu * log_g[d] for d, mu in terms) / half
             for p, vals in val_g.items():

@@ -33,7 +33,7 @@ from chebdyn import (
     weil_height_rational,
 )
 from chebdyn.chebyshev import (
-    _cyclotomic_squarefree,
+    _cyclotomic_half,
     halved_minpoly,
     is_preperiodic_rational,
     minpoly_conjugate_residuals,
@@ -64,7 +64,7 @@ def test_criterion_1_orbit_exactness():
     """deg psi_N = orbit size, monic, conjugate residuals <= 1e-9, N <= 1000, < 5 s."""
     halved_minpoly.cache_clear()
     preperiodic_orbit.cache_clear()
-    _cyclotomic_squarefree.cache_clear()
+    _cyclotomic_half.cache_clear()
     t0 = time.perf_counter()
     worst_residual = 0.0
     for n in range(1, 1001):

@@ -77,10 +77,27 @@ def test_trig_identity():
 
 def test_cyclotomic_against_sympy():
     x = sympy.Symbol("x")
-    for n in list(range(1, 130)) + [105, 385, 512, 729, 1000]:
+    # 2310 and 4620 are the largest radicals here; sympy is too slow at 30030
+    for n in list(range(1, 130)) + [105, 385, 512, 729, 1000, 2310, 4620]:
         mine = cyclotomic_coeffs(n)
         ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert mine == [int(c) for c in ref], n
+
+
+def test_cyclotomic_divisor_product_at_large_radicals():
+    # prod_{d | n} Phi_d(x) = x^n - 1 mod a 61-bit prime at a few x, with no
+    # sympy, which is too slow at these radicals
+    p = (1 << 61) - 1
+    for n in (30030, 255255):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for x in (2, 3, 10**9 + 7):
+            prod = 1
+            for d in divisors:
+                val = 0
+                for c in reversed(cyclotomic_coeffs(d)):
+                    val = (val * x + c) % p
+                prod = prod * val % p
+            assert prod == (pow(x, n, p) - 1) % p, (n, x)
 
 
 def test_orbit_examples():

@@ -298,9 +298,17 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         ["cheb", "--n", "5", "--at", "3/7"],
         ["height", "--beta", "7/3"],
         ["canonical-height", "--beta", "7/3"],
+        # Phi_N is a plain-integer power series, so no pairing reads numpy
+        ["sintegral", "--beta", "3", "--N", "5", "--S", "inf,11"],
+        ["cor33", "--beta", "3", "--p", "11", "--Nmax", "100"],
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
+    # kappa is a constant, not a quadrature
+    for place in ("3", "inf"):
+        argv = ["equidist", "--beta", "7/3", "--place", place, "--Nmax", "50"]
+        after_import, code, loaded = _heavy_modules(argv)
+        assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
     # a non-monic cubic reads mpmath for its roots but builds no psi_N
     argv = ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"]
     after_import, code, loaded = _heavy_modules(argv)
