@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebraic import AlgebraicNumber
 from .cfrac import cf_convergents
@@ -96,11 +97,13 @@ def _refined_embedding(beta: AlgebraicNumber, prec: int):
         return z, n * (abs(fz) + err_f) / denom
 
 
+@lru_cache(maxsize=64)
 def certified_angle(beta: AlgebraicNumber, prec: int = 128):
     """theta_0 = arg(beta)/(2 pi) in (-1/2, 1/2] with a rigorous error bound.
 
     Requires |beta| = 1 within the certification radius and beta not a root
-    of unity (zero height would make the angle rational).
+    of unity (zero height would make the angle rational). Cached: a
+    convergent scan reads theta_0 at one precision for every convergent.
     """
     import mpmath as mp
 

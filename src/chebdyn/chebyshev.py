@@ -25,7 +25,6 @@ from itertools import accumulate
 from operator import sub
 
 from .errors import DomainError
-from .factorint import euler_phi
 from .intpoly import IntPoly
 from .numerics import ApproxReal, cos_two_pi
 
@@ -81,10 +80,9 @@ def _cyclotomic_half(n: int) -> tuple[int, ...]:
     as a power series truncated past x^m (Arnold & Monagan, Math. Comp. 80,
     2011): a factor with d > m is 1 there, and sum mu(n/d) d = 2m.
     """
-    terms = moebius_divisors(n)
-    m = sum(mu * d for d, mu in terms) // 2
+    m = orbit_size(n)
     c = [1] + [0] * m
-    for d, mu in terms:
+    for d, mu in moebius_divisors(n):
         if d > m:
             continue
         if mu > 0:  # times (1 - x^d)
@@ -175,12 +173,13 @@ class ChebMap:
 
 
 def orbit_size(n: int) -> int:
-    """Size of the Galois orbit over Q of the order-n preperiodic point."""
+    """Size of the Galois orbit over Q of the order-n preperiodic point:
+    phi(n)/2 = sum mu(n/d) d / 2 over the divisors d of n, for n >= 3."""
     if n < 1:
         raise DomainError("order must be positive")
     if n <= 2:
         return 1
-    return euler_phi(n) // 2
+    return sum(mu * d for d, mu in moebius_divisors(n)) // 2
 
 
 def coprime_residues_half(n: int) -> list[int]:
@@ -188,6 +187,19 @@ def coprime_residues_half(n: int) -> list[int]:
     if n <= 2:
         return [1]
     return [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
+
+
+def coprime_residue_array(n: int) -> np.ndarray:
+    """``coprime_residues_half(n)`` as an integer array: the multiples of each
+    prime factor of n struck from 0..n/2 in a bool mask."""
+    import numpy as np
+
+    if n <= 2:
+        return np.array([1])
+    keep = np.ones(n // 2 + 1, dtype=bool)
+    for p in distinct_primes(n):
+        keep[::p] = False
+    return np.flatnonzero(keep)
 
 
 _PK_CACHE: list[list[int]] = [[2], [0, 1]]
@@ -243,9 +255,47 @@ def conjugates_fast(n: int) -> np.ndarray:
         return np.array([2.0])
     if n == 2:
         return np.array([-2.0])
-    a = np.arange(1, n // 2 + 1)
-    a = a[np.gcd(a, n) == 1]
-    return 2.0 * np.cos(2.0 * np.pi * a / n)
+    return 2.0 * np.cos(2.0 * np.pi * coprime_residue_array(n) / n)
+
+
+#: conjugates per block of ``conjugate_blocks``: half a megabyte per float64
+#: temporary, where a table of every conjugate of a sweep to N = 3000 would
+#: hold 1.4 million
+CONJUGATE_BLOCK = 1 << 16
+
+
+def conjugate_blocks(orders):
+    """``conjugates_fast(n)`` for every n in orders, a block at a time.
+
+    Yields (counts, x): x holds the conjugates of a run of consecutive
+    orders one after another, counts[i] of them for the i-th, equal bit for
+    bit to ``conjugates_fast`` (the same float64 formula, elementwise). A
+    block closes before it would pass CONJUGATE_BLOCK conjugates, so an
+    order larger than that comes alone.
+    """
+    chunk, residues, total = [], [], 0
+    for n in orders:
+        a = coprime_residue_array(n)
+        if chunk and total + a.size > CONJUGATE_BLOCK:
+            yield _conjugate_block(chunk, residues)
+            chunk, residues, total = [], [], 0
+        chunk.append(n)
+        residues.append(a)
+        total += a.size
+    if chunk:
+        yield _conjugate_block(chunk, residues)
+
+
+def _conjugate_block(chunk: list[int], residues: list) -> tuple[list[int], np.ndarray]:
+    import numpy as np
+
+    counts = [a.size for a in residues]
+    n = np.repeat(chunk, counts)
+    x = 2.0 * np.cos(2.0 * np.pi * np.concatenate(residues) / n)
+    if min(chunk) <= 2:  # exact, as conjugates_fast returns them
+        x[n == 1] = 2.0
+        x[n == 2] = -2.0
+    return counts, x
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .heights import (
     HeightValue,
     canonical_height,
     orbit_generator_height,
+    orbit_generator_heights,
     weil_height_rational,
 )
 from .integrality import (
@@ -147,9 +148,10 @@ def finite_lambda_average(order: int, beta, p: int) -> float:
     return float(v) * math.log(p) / orbit_size(order)
 
 
-def real_place_lambda_average(beta: Fraction, order: int, log_pairing: float) -> float:
+def real_place_lambda_average(h_beta: float, h_alpha: float, size: int, log_pairing: float) -> float:
     """(1/|P|) sum over the order-N orbit of lambda_{sigma(alpha), inf}(beta),
-    for rational beta, from log|F_N| by the product formula.
+    for rational beta, from h(beta), h(alpha_N), |P| and log|F_N| by the
+    product formula.
 
     lambda summed over every place and averaged over the orbit is
     h(beta) + h(alpha_N) (``total_lambda_identity_check``), and the finite
@@ -158,8 +160,7 @@ def real_place_lambda_average(beta: Fraction, order: int, log_pairing: float) ->
     |x - beta|, so a beta crowding a conjugate costs no accuracy, where a
     float64 mean of the lambdas is off by up to ORBIT_COS_ERROR / gap.
     """
-    h_alpha = orbit_generator_height(order).value
-    return weil_height_rational(beta).value + h_alpha - log_pairing / orbit_size(order)
+    return h_beta + h_alpha - log_pairing / size
 
 
 def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> float:
@@ -176,7 +177,12 @@ def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> 
             raise DomainError("real-place orbit averages take a rational beta")
         beta = beta.as_fraction()
     beta = Fraction(beta)
-    return real_place_lambda_average(beta, orbit.order, math.log(abs(pairing_value(orbit.order, beta))))
+    return real_place_lambda_average(
+        weil_height_rational(beta).value,
+        orbit_generator_height(orbit.order).value,
+        orbit.size,
+        math.log(abs(pairing_value(orbit.order, beta))),
+    )
 
 
 @dataclass(frozen=True)
@@ -313,11 +319,13 @@ def arch_discrepancy_fast(sieve: PairingSieve, n: int) -> DiscrepancyRecord:
     with the orbit average read from the sieve's log|F_n|
     (``real_place_lambda_average``)."""
     beta = sieve.beta
-    avg = real_place_lambda_average(beta, n, sieve.log_abs(n))
+    size = orbit_size(n)
+    h_alpha = orbit_generator_height(n).value
+    avg = real_place_lambda_average(weil_height_rational(beta).value, h_alpha, size, sieve.log_abs(n))
     integral = lambda_integral(beta, ARCH)
     return DiscrepancyRecord(
         orbit_order=n,
-        orbit_size=orbit_size(n),
+        orbit_size=size,
         place="inf",
         orbit_average=avg,
         integral_value=integral,
@@ -330,18 +338,27 @@ def arch_discrepancy_fast(sieve: PairingSieve, n: int) -> DiscrepancyRecord:
 def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
     """(N, orbit size, discrepancy) for each order N in orders, rational beta.
 
-    One ``PairingSieve`` pass to max(orders) serves every row. At a finite
-    place p the integral vanishes, so the discrepancy is the orbit average
-    v_p(F_N) log(p) / |P| itself (``finite_lambda_average``; v_p(F_N) = 0
-    when p divides the denominator of beta).
+    One ``PairingSieve`` pass to max(orders) serves every row. At the real
+    place each row is ``arch_discrepancy_fast``'s, with every h(alpha_N) read
+    from one blockwise pass (``orbit_generator_heights``) and h(beta) and the
+    integral taken once. At a finite place p the integral vanishes, so the
+    discrepancy is the orbit average v_p(F_N) log(p) / |P| itself
+    (``finite_lambda_average``; v_p(F_N) = 0 when p divides the denominator
+    of beta).
     """
     if not orders:
         return []
     primes = () if place.is_archimedean else (place.p,)
     sieve = PairingSieve(beta, max(orders), primes)
     if place.is_archimedean:
-        recs = [arch_discrepancy_fast(sieve, n) for n in orders]
-        return [(rec.orbit_order, rec.orbit_size, rec.discrepancy) for rec in recs]
+        h_beta = weil_height_rational(sieve.beta).value
+        integral = lambda_integral(sieve.beta, ARCH)
+        rows = []
+        for n, h_alpha in zip(orders, orbit_generator_heights(orders)):
+            size = orbit_size(n)
+            avg = real_place_lambda_average(h_beta, h_alpha.value, size, sieve.log_abs(n))
+            rows.append((n, size, abs(avg - integral)))
+        return rows
     p = place.p
     return [(n, orbit_size(n), float(sieve.valuation(n, p)) * math.log(p) / orbit_size(n)) for n in orders]
 
@@ -395,11 +412,9 @@ def az_pairing_estimate(beta, n_max: int, min_size: int = 1, tol: float = 1e-10)
     h_beta = weil_height_rational(beta).value
     rows = []
     rate = 0.0
-    for n in range(1, n_max + 1):
-        size = orbit_size(n)
-        if size < min_size:
-            continue
-        total = h_beta + orbit_generator_height(n).value
+    kept = [(n, size) for n in range(1, n_max + 1) if (size := orbit_size(n)) >= min_size]
+    for (n, size), h_alpha in zip(kept, orbit_generator_heights([n for n, _ in kept])):
+        total = h_beta + h_alpha.value
         gap = abs(total - limit)
         rows.append((n, size, total, gap))
         if size > 1:

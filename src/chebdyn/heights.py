@@ -15,10 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Literal
 
 from .algebraic import AlgebraicNumber, algebraic_number
-from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugates_fast, is_preperiodic_rational
+from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugate_blocks, is_preperiodic_rational
 from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import precision_ladder
 from .roots import complex_roots
@@ -58,9 +59,13 @@ def _log_plus_sum(roots) -> tuple[float, float]:
     return total, err
 
 
+@lru_cache(maxsize=256)
 def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> HeightValue:
     """Absolute logarithmic height via the Mahler measure of the minimal
-    polynomial: h = (log|lead| + sum log+ |root_i|) / deg."""
+    polynomial: h = (log|lead| + sum log+ |root_i|) / deg.
+
+    Cached (alpha is a frozen dataclass): a Baker scan asks for h(beta) once
+    per convergent, and each miss runs the certified root finder."""
     deg = alpha.degree
     if deg > DEGREE_CAP:
         raise DomainError(f"degree {deg} exceeds the supported cap {DEGREE_CAP}")
@@ -74,7 +79,8 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
 
 def orbit_generator_height(n: int) -> HeightValue:
     """Height h(alpha_n) of alpha_n = zeta_n + 1/zeta_n: the mean of
-    log max(|x|, 1) over its conjugates x (``conjugates_fast``).
+    log max(|x|, 1) over its conjugates x (``conjugates_fast``). The
+    one-order case of ``orbit_generator_heights``.
 
     This is the Mahler-measure formula of weil_height_algebraic (psi_n is
     monic), summed over the closed-form conjugates. Error bound, with
@@ -84,16 +90,31 @@ def orbit_generator_height(n: int) -> HeightValue:
     - numpy's float64 log is within 1 ulp, at most 2u y_i per term;
     - summing m nonnegative terms in any order, whatever tree numpy uses,
       errs by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u) of the sum;
+      the sum runs over the order's own contiguous slice of a conjugate
+      block, so no other order's terms enter it;
     - the division by m rounds once, u.
     So the computed mean v is within ORBIT_COS_ERROR + (m + 2) u y of
     h(alpha_n); the 1% pad on (m + 2) u v covers gamma's denominator and
     y / v while (m + 2) u < 10^-3.
     """
+    return orbit_generator_heights((n,))[0]
+
+
+def orbit_generator_heights(orders) -> list[HeightValue]:
+    """``orbit_generator_height(n)`` for every n in orders, from one blockwise
+    pass over their conjugates (``conjugate_blocks``): each value is the mean
+    of its own contiguous slice, as the one-order call takes it."""
     import numpy as np
 
-    x = conjugates_fast(n)
-    v = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
-    return HeightValue(v, ORBIT_COS_ERROR + 1.01 * (x.size + 2) * 2.0**-53 * v, "mahler-numeric")
+    out = []
+    for counts, x in conjugate_blocks(orders):
+        y = np.log(np.maximum(np.abs(x), 1.0))
+        start = 0
+        for m in counts:
+            v = float(np.add.reduce(y[start : start + m])) / m  # as .mean() takes it
+            out.append(HeightValue(v, ORBIT_COS_ERROR + 1.01 * (m + 2) * 2.0**-53 * v, "mahler-numeric"))
+            start += m
+    return out
 
 
 def dobrowolski_floor(degree: int, c: float = DEFAULT_DOBROWOLSKI_C) -> float:

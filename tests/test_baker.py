@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from chebdyn import algebraic, heights, roots
+
 from chebdyn import (
     BakerInstance,
     DomainError,
@@ -15,6 +17,7 @@ from chebdyn import (
     certified_angle,
     convergent_scan,
     proximity_bound_check,
+    weil_height_algebraic,
 )
 
 #: palindromic quadratics a x^2 + b x + a with |b| < 2a: both roots on |z| = 1
@@ -153,3 +156,23 @@ def test_proximity_check_seeded_with_calibrated_constant():
 def test_proximity_rejects_preperiodic():
     with pytest.raises(PreperiodicInputError):
         proximity_bound_check(1, 10)
+
+
+def test_convergent_scan_finds_the_roots_of_beta_once(monkeypatch):
+    # h(beta) and theta_0 are per-beta constants: one certified root run
+    # serves the whole scan (recomputed per convergent it took 31)
+    beta = algebraic_number([5, 7, 5])  # poly:5,7,5@0
+    calls = []
+    real = roots.complex_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    weil_height_algebraic.cache_clear()
+    certified_angle.cache_clear()
+    for module in (roots, heights, algebraic):
+        monkeypatch.setattr(module, "complex_roots", counting)
+    scan = convergent_scan(beta, 10000, 0.1)
+    assert len(scan.records) > 5
+    assert len(calls) <= 1

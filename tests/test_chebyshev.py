@@ -26,6 +26,7 @@ from chebdyn.chebyshev import (
     ORBIT_COS_ERROR,
     ChebMap,
     conjugates_fast,
+    coprime_residue_array,
     coprime_residues_half,
     distinct_primes,
     halved_minpoly,
@@ -117,8 +118,8 @@ def test_orbit_size_examples():
     assert orbit_size(1) == 1
     assert orbit_size(5) == 2  # phi(5)/2
     assert orbit_size(12) == 2  # phi(12)/2
-    for n in range(3, 1001):
-        assert orbit_size(n) == euler_phi(n) // 2
+    for n in range(3, 20001):  # the Moebius divisor sum against factorint's totient
+        assert orbit_size(n) == euler_phi(n) // 2, n
 
 
 def test_minpoly_against_sympy():
@@ -182,6 +183,20 @@ def test_orbit_conjugate_error_bounds_hold():
             assert err <= ORBIT_COS_ERROR, (n, a, err)
             worst = max(worst, err)
     assert worst > 4e-16  # the sweep does see errors past the former bound
+
+
+def test_coprime_sieve_matches_gcd_filter():
+    # oracle: math.gcd over 1..n/2, and the np.gcd filter conjugates_fast used
+    import numpy as np
+
+    for n in range(1, 4001):
+        a = coprime_residue_array(n)
+        assert a.tolist() == coprime_residues_half(n), n
+        if n > 2:
+            b = np.arange(1, n // 2 + 1)
+            b = b[np.gcd(b, n) == 1]
+            assert conjugates_fast(n).tolist() == (2.0 * np.cos(2.0 * np.pi * b / n)).tolist(), n
+    assert conjugates_fast(1).tolist() == [2.0] and conjugates_fast(2).tolist() == [-2.0]
 
 
 def test_orbit_generator_height_within_its_bound():

@@ -30,6 +30,7 @@ from chebdyn.equidist import (
     measure_invariance_gap,
     quadrature_potential,
 )
+from chebdyn import factorint
 from chebdyn.integrality import PairingSieve, newton_polygon_valuations, orbit_shift_poly
 
 
@@ -198,6 +199,24 @@ def test_real_place_row_near_a_conjugate():
         want = abs(avg - kappa)
         assert abs(want - mp.mpf("0.131281313394843100")) < 1e-18
     assert abs(rec.discrepancy - float(want)) < 1e-12
+
+
+def test_real_place_rows_factor_nothing(monkeypatch):
+    # every orbit size comes from the Moebius divisor sum, so a real-place
+    # sweep to N = 3000 runs no factorization (an orbit size read through
+    # euler_phi would factor every N: 2998 calls)
+    calls = []
+    real = factorint.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    factorint.euler_phi.cache_clear()
+    monkeypatch.setattr(factorint, "factorize", counting)
+    rows = equidist_rows(Fraction(54497, 28758), ARCH, range(1, 3001))
+    assert len(rows) == 3000
+    assert calls == []
 
 
 def test_az_estimate_consistency():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from chebdyn import (
@@ -12,12 +13,16 @@ from chebdyn import (
     canonical_height_closed_form,
     cheb_eval,
     dobrowolski_floor,
+    is_prime,
     orbit_generator_height,
     preperiodic_orbit,
     weil_height_algebraic,
     weil_height_rational,
 )
+from chebdyn import chebyshev
 from chebdyn.algebraic import AlgebraicNumber
+from chebdyn.chebyshev import ORBIT_COS_ERROR, conjugate_blocks
+from chebdyn.heights import HeightValue, orbit_generator_heights
 from chebdyn.intpoly import IntPoly
 from chebdyn.numerics import ApproxComplex
 
@@ -134,3 +139,43 @@ def test_orbit_generator_height_matches_mahler_route():
             AlgebraicNumber(orbit.minpoly, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16), 0)
         ).value
         assert abs(direct - via_roots) < 1e-11, n
+
+
+def _per_order_height(n):
+    """The one-order formula the blockwise kernel replaced, kept as its
+    oracle: an np.gcd filter of 1..n/2, then one mean over the order."""
+    if n <= 2:
+        x = np.array([2.0 if n == 1 else -2.0])
+    else:
+        a = np.arange(1, n // 2 + 1)
+        a = a[np.gcd(a, n) == 1]
+        x = 2.0 * np.cos(2.0 * np.pi * a / n)
+    v = float(np.log(np.maximum(np.abs(x), 1.0)).mean())
+    return HeightValue(v, ORBIT_COS_ERROR + 1.01 * (x.size + 2) * 2.0**-53 * v, "mahler-numeric")
+
+
+def test_orbit_generator_heights_equal_the_per_order_formula_bit_for_bit():
+    # HeightValue equality is field-for-field ==, so every float must match
+    # exactly, not merely within its error bound
+    everything = range(1, 3001)
+    assert len(list(conjugate_blocks(everything))) > 1  # the sweep crosses block boundaries
+    assert orbit_generator_heights(everything) == [_per_order_height(n) for n in everything]
+    primes = [n for n in range(2, 4000) if is_prime(n)]
+    for orders in (primes, range(37, 4000), [3001, 1, 7, 2, 7]):  # gaps, repeats, any order
+        assert orbit_generator_heights(orders) == [_per_order_height(n) for n in orders]
+    for n in (1, 2, 3, 210, 3989):
+        assert orbit_generator_height(n) == _per_order_height(n)
+
+
+def test_conjugate_blocks_split_at_the_block_size(monkeypatch):
+    monkeypatch.setattr(chebyshev, "CONJUGATE_BLOCK", 100)
+    orders = [1, 2, 12, 1009, 30, 31, 5, 97]
+    blocks = list(conjugate_blocks(orders))
+    counts = [m for c, _ in blocks for m in c]
+    assert counts == [1 if n <= 2 else len([a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]) for n in orders]
+    # 1009 (504 conjugates) comes alone; every other block stays within 100
+    assert [x.size for _, x in blocks] == [sum(c) for c, _ in blocks]
+    assert all(x.size <= 100 or len(c) == 1 for c, x in blocks)
+    assert [c for c, _ in blocks] == [[1, 1, 2], [504], [4, 15, 2, 48]]
+    want = np.concatenate([preperiodic_orbit(n).conjugates_array() for n in orders])
+    assert np.concatenate([x for _, x in blocks]).tolist() == want.tolist()
