@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +10,7 @@ from .chebyshev import preperiodic_order_of_minpoly, rational_preperiodic_order
 from .errors import DomainError, PrecisionError
 from .intpoly import IntPoly, _pseudo_rem
 from .numerics import ApproxComplex
+from .records import record
 from .roots import CertifiedRoots, certified_roots, complex_roots, is_squarefree
 
 
@@ -117,7 +117,7 @@ def _is_irreducible(f: IntPoly, roots: CertifiedRoots | None = None) -> bool:
     raise PrecisionError(f"could not decide whether {f} is irreducible", best=None)
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraicNumber:
     """beta given by its irreducible primitive minimal polynomial over Z.
 

@@ -20,7 +20,6 @@ a fixed non-preperiodic beta on the Julia interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,10 +30,11 @@ from .errors import DomainError, PrecisionError, PreperiodicInputError
 from .heights import weil_height_algebraic, weil_height_rational
 from .integrality import arch_proximity
 from .numerics import precision_ladder
+from .records import record
 from .roots import _horner_with_error
 
 
-@dataclass(frozen=True)
+@record
 class BakerInstance:
     """Inputs of the two-term lower bound; invariants checked on build."""
 
@@ -123,7 +123,7 @@ def certified_angle(beta: AlgebraicNumber, prec: int = 128):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AngleGapRecord:
     """One rational approximant a/N against the Baker-type barrier.
 
@@ -223,7 +223,7 @@ def assembled_constant(beta: AlgebraicNumber, eps: float) -> float:
     return float(ratio.max()) * 1.0001
 
 
-@dataclass(frozen=True)
+@record
 class ConvergentScan:
     beta: str
     eps: float
@@ -273,7 +273,7 @@ def convergent_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProximityRecord:
     orbit_order: int
     orbit_size: int
@@ -282,7 +282,7 @@ class ProximityRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class ProximityCheck:
     beta: str
     eps: float

@@ -8,14 +8,14 @@ interval agrees on it, so no convergent is ever certified falsely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .numerics import ApproxReal
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class ConvergentList:
     """Convergents a/N with N nondecreasing, plus a truncation marker.
 

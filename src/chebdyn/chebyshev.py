@@ -18,7 +18,6 @@ No floating point enters the coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -27,6 +26,7 @@ from operator import sub
 from .errors import DomainError
 from .intpoly import IntPoly
 from .numerics import ApproxReal, cos_two_pi
+from .records import record
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials (exact integers, one truncated power series)
@@ -145,7 +145,7 @@ def cheb_eval(n: int, z):
     return cur
 
 
-@dataclass(frozen=True)
+@record
 class ChebMap:
     """The degree-d Chebyshev dynamical system, d >= 2."""
 
@@ -298,7 +298,7 @@ def _conjugate_block(chunk: list[int], residues: list) -> tuple[list[int], np.nd
     return counts, x
 
 
-@dataclass(frozen=True)
+@record
 class PreperiodicOrbit:
     """The Galois orbit over Q of zeta_N + 1/zeta_N.
 

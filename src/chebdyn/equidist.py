@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
@@ -37,6 +36,7 @@ from .integrality import (
     orbit_shift_poly,
     pairing_value,
 )
+from .records import record
 
 #: finite-place proximity integrals vanish by good reduction
 FINITE_PLACE_INTEGRAL = 0.0
@@ -185,7 +185,7 @@ def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> 
     )
 
 
-@dataclass(frozen=True)
+@record
 class LambdaIdentity:
     """Both sides of the exact all-places proximity identity.
 
@@ -236,7 +236,7 @@ def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DecayConstants:
     """Constants (C, delta, A) for the quantitative decay bound."""
 
@@ -251,7 +251,7 @@ class DecayConstants:
             raise DomainError("constants must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class DiscrepancyRecord:
     orbit_order: int
     orbit_size: int
@@ -379,7 +379,7 @@ def fitted_slope(sizes, discrepancies) -> float:
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
-@dataclass(frozen=True)
+@record
 class PairingEstimate:
     """Convergence of per-orbit total proximity toward its height-pairing limit.
 

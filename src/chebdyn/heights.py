@@ -13,29 +13,25 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
 
 from .algebraic import AlgebraicNumber, algebraic_number
 from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugate_blocks, is_preperiodic_rational
 from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import precision_ladder
+from .records import record
 from .roots import complex_roots
 
 EXACT_BIT_CAP = 4096
 DEGREE_CAP = 16
 DEFAULT_DOBROWOLSKI_C = 0.25
 
-Method = Literal["exact-rational", "mahler-numeric", "iteration-limit"]
-
-
-@dataclass(frozen=True)
+@record
 class HeightValue:
     value: float
     error_bound: float
-    method: str
+    method: str  # "exact-rational", "mahler-numeric" or "iteration-limit"
 
     def __float__(self) -> float:
         return self.value
@@ -64,7 +60,7 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
     """Absolute logarithmic height via the Mahler measure of the minimal
     polynomial: h = (log|lead| + sum log+ |root_i|) / deg.
 
-    Cached (alpha is a frozen dataclass): a Baker scan asks for h(beta) once
+    Cached (alpha is a frozen record): a Baker scan asks for h(beta) once
     per convergent, and each miss runs the certified root finder."""
     deg = alpha.degree
     if deg > DEGREE_CAP:
@@ -319,7 +315,7 @@ def canonical_height_closed_form(x, prec: int = 80) -> float:
         return float(log_q + mp.log(w))
 
 
-@dataclass(frozen=True)
+@record
 class SampledBeta:
     label: str
     value: object

@@ -24,7 +24,6 @@ oracle for the pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
@@ -40,6 +39,7 @@ from .errors import CoincidentPointsError, DomainError, PrecisionError, Preperio
 from .factorint import factor_counts, is_prime, padic_valuation
 from .intpoly import IntPoly, resultant
 from .numerics import precision_ladder
+from .records import record
 
 
 class _Infinity:
@@ -52,7 +52,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Place:
     """A place of Q: the archimedean one (p is None) or a finite prime p."""
 
@@ -84,7 +84,7 @@ class Place:
 ARCH = Place(None)
 
 
-@dataclass(frozen=True)
+@record
 class PlaceSet:
     """A finite set of places that must contain the archimedean place."""
 
@@ -280,7 +280,7 @@ def meeting_primes(orbit: PreperiodicOrbit, beta) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
+@record
 class SIntegralityReport:
     orbit_order: int
     beta: str
@@ -480,7 +480,7 @@ def root_of_unity_valuation(m: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NearOrbitReport:
     """Orbits N <= n_max carrying a point p-adically closer to beta than the
     two-factor root-of-unity barrier 2/(p-1).
@@ -507,7 +507,7 @@ class NearOrbitReport:
     flagged_point_count: int
     at_most_one: bool
     #: Galois-orbit size bound p log(p)/eps from the local counting argument
-    orbit_size_constant: float = field(default=0.0)
+    orbit_size_constant: float = 0.0
 
 
 def near_orbit_scan(beta, p: int, n_max: int, eps: float = 0.5) -> NearOrbitReport:

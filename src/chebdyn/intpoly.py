@@ -7,13 +7,13 @@ empty coefficient tuple and has degree -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DomainError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class IntPoly:
     coeffs: tuple[int, ...]
 

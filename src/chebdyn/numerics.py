@@ -2,14 +2,15 @@
 
 All numeric quantities that stand for an exact real or complex number are
 carried together with a rigorous bound on the distance to that number.
-High-precision work is delegated to mpmath; the exported dataclasses hold
+High-precision work is delegated to mpmath; the exported records hold
 ordinary floats so reports stay plain JSON.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+
+from .records import record
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -38,7 +39,7 @@ def precision_ladder(start: int = 64):
         prec *= 2
 
 
-@dataclass(frozen=True)
+@record
 class ApproxReal:
     """A float plus a rigorous bound on its distance to the exact number."""
 
@@ -50,7 +51,7 @@ class ApproxReal:
             raise ValueError("error bound must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class ApproxComplex:
     """A complex float plus a rigorous bound on its distance to the exact number."""
 

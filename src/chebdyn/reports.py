@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from importlib import resources
 
 VERSION = "0.1.0"
 
@@ -61,6 +60,8 @@ def write_csv(header: list[str], rows: list[tuple], path: str | None) -> str:
 
 
 def load_schema() -> dict:
+    from importlib import resources
+
     with resources.files("chebdyn").joinpath("schema.json").open() as fh:
         return json.load(fh)
 

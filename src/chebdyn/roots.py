@@ -13,11 +13,10 @@ honest error bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, PrecisionError
 from .intpoly import IntPoly, resultant
 from .numerics import ApproxComplex, FLOAT_EPS, precision_ladder
+from .records import record
 
 
 def _horner_with_error(coeffs_high, z, prec):
@@ -45,7 +44,7 @@ def is_squarefree(f: IntPoly) -> bool:
     return resultant(f, f.derivative()) != 0
 
 
-@dataclass(frozen=True)
+@record
 class CertifiedRoots:
     """The roots of a squarefree integer polynomial at working precision
     ``prec``: the disc of radius radii[i] about roots[i] (mpmath values, in

@@ -278,7 +278,7 @@ def test_sympy_stays_off_rational_and_quadratic_paths():
 # loaded after import chebdyn.cli, exit code, heavy modules loaded at the end].
 _HEAVY_RUN = """
 import contextlib, io, json, sys
-loaded = lambda: sorted(m for m in ("numpy", "mpmath", "sympy") if m in sys.modules)
+loaded = lambda: sorted(m for m in ("numpy", "mpmath", "sympy", "dataclasses", "inspect") if m in sys.modules)
 import chebdyn.cli
 after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -292,6 +292,8 @@ def _heavy_modules(argv):
 
 
 def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
+    # the records are built without dataclasses, so no exact op loads it or
+    # inspect; numpy itself loads inspect, so the numpy ops assert less
     exact = [
         ["scan", "--beta", "3", "--S", "inf,2,3,5,11", "--Nmax", "12"],
         ["theorem2", "--S", "inf,2,3", "--trials", "4", "--Nmax", "60", "--seed", "3", "--Dcap", "1"],
@@ -316,7 +318,8 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
 
 
 def test_no_module_imports_numpy_mpmath_or_sympy_at_load():
-    heavy = {"numpy", "mpmath", "sympy"}
+    # dataclasses writes every method it adds with exec, and loads inspect
+    heavy = {"numpy", "mpmath", "sympy", "dataclasses"}
     src = Path(__file__).resolve().parents[1] / "src" / "chebdyn"
     found = []
     for path in sorted(src.glob("*.py")):
