@@ -319,8 +319,13 @@ class PreperiodicOrbit:
         return poly
 
     @property
+    def conjugate_error_bound(self) -> float:
+        """The error bound of every value in ``conjugates_array()``."""
+        return ORBIT_COS_ERROR if self.order > 2 else 0.0
+
+    @property
     def conjugates(self) -> tuple[ApproxReal, ...]:
-        bound = ORBIT_COS_ERROR if self.order > 2 else 0.0
+        bound = self.conjugate_error_bound
         return tuple(ApproxReal(x, bound) for x in self.conjugates_array().tolist())
 
     def conjugate_mp(self, i: int, prec: int = 64):

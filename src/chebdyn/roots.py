@@ -9,6 +9,11 @@ wrapped in an a posteriori inclusion disc of radius
 inflated by a rigorous Horner rounding-error term. If the n discs are
 pairwise disjoint, each contains exactly one root, so the radii are
 honest error bounds.
+
+Nothing here runs when an algebraic number is built: its irreducibility is
+decided mod p first (``algebraic._modular_verdict``), and only the
+polynomials that test leaves open have their roots certified for the
+root-subset test; otherwise the embedding is certified on first read.
 """
 
 from __future__ import annotations

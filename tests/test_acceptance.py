@@ -98,7 +98,7 @@ def test_criterion_2_canonical_height_oracles():
     for n in range(1, 51):
         orbit = preperiodic_orbit(n)
         for i, c in enumerate(orbit.conjugates):
-            beta = AlgebraicNumber(orbit.minpoly, ApproxComplex(complex(c.value), 4e-16), i)
+            beta = AlgebraicNumber.with_embedding(orbit.minpoly, i, ApproxComplex(complex(c.value), 4e-16))
             worst_conj = max(worst_conj, abs(canonical_height(beta, 2, 1e-10).value))
     # the zero comes from the preperiodic classification; back it numerically:
     # every certified root disc of psi_N lies inside the invariant interval

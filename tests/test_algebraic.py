@@ -1,11 +1,22 @@
+import importlib.util
 import itertools
 import random
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
 
-from chebdyn import DomainError, IntPoly, algebraic, algebraic_number, complex_roots
-from chebdyn.algebraic import _is_irreducible
+from chebdyn import DomainError, IntPoly, PrecisionError, algebraic, algebraic_number, complex_roots
+from chebdyn.algebraic import (
+    _PATTERN_PRIMES,
+    _PATTERN_TRIES,
+    _factor_degrees_mod_p,
+    _is_irreducible,
+    _modular_verdict,
+)
+from chebdyn.intpoly import resultant
 from chebdyn.roots import CertifiedRoots, certified_roots, is_squarefree
 
 X = sympy.Symbol("x")
@@ -81,9 +92,14 @@ def _higher_degree_grid() -> list[IntPoly]:
     return [f for f in grid if 3 <= f.degree <= 6]
 
 
+@lru_cache(maxsize=1)
+def _sympy_verdicts() -> tuple[bool, ...]:
+    return tuple(sympy.Poly(list(reversed(f.coeffs)), X).is_irreducible for f in _higher_degree_grid())
+
+
 def test_higher_degree_irreducibility_matches_sympy():
     grid = _higher_degree_grid()
-    verdicts = [sympy.Poly(list(reversed(f.coeffs)), X).is_irreducible for f in grid]
+    verdicts = _sympy_verdicts()
     assert 80 < verdicts.count(False) < len(grid) - 40
     assert any(f.content() > 1 for f in grid) and any(f.leading < 0 for f in grid)
     assert any(not is_squarefree(f) for f in grid)
@@ -111,3 +127,109 @@ def test_irreducibility_escalates_a_wide_disc(monkeypatch):
             m.setattr(algebraic, "certified_roots", lambda *a: calls.append(a) or certified_roots(*a))
             assert _is_irreducible(f, wide) == expected
         assert calls
+
+
+def _normalized(f: IntPoly) -> IntPoly:
+    f = f.primitive()
+    return -f if f.leading < 0 else f
+
+
+def test_factor_degree_patterns_match_sympy_mod_p():
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(150):
+        coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(3, 8))] + [rng.randint(1, 9)]
+        f = IntPoly.from_coeffs(coeffs)
+        disc = resultant(f, f.derivative())
+        for p in (2, 3, 5, 7, 11, 13):
+            if (f.leading * disc) % p:
+                factors = sympy.Poly(list(reversed(coeffs)), X, modulus=p).factor_list()[1]
+                assert sorted(_factor_degrees_mod_p(f, p)) == sorted(g.degree() for g, _ in factors), (coeffs, p)
+                checked += 1
+    assert checked > 500
+
+
+def test_degree_patterns_agree_with_sympy_and_decide_every_irreducible_grid_polynomial():
+    decided = 0
+    for f, irreducible in zip(_higher_degree_grid(), _sympy_verdicts()):
+        verdict = _modular_verdict(_normalized(f))
+        if irreducible:
+            assert verdict is True, f  # no grid polynomial needs the roots
+        else:  # patterns never prove a reducible f irreducible
+            assert verdict is (False if not is_squarefree(f) else None), f
+        decided += verdict is not None
+    assert decided > 80
+
+
+UNDECIDED = [
+    (IntPoly.of(1, 0, 0, 0, 1), True),  # x^4 + 1
+    (IntPoly.of(1, 0, -10, 0, 1), True),  # minimal polynomial of sqrt(2) + sqrt(3)
+    (IntPoly.of(1, 0, 1) * IntPoly.of(3, 0, 1), False),
+]
+
+
+@pytest.mark.parametrize("f, irreducible", UNDECIDED)
+def test_undecided_patterns_fall_back_to_roots_and_seed_the_embedding(monkeypatch, f, irreducible):
+    disc = resultant(f, f.derivative())
+    good = [p for p in _PATTERN_PRIMES if (f.leading * disc) % p][:_PATTERN_TRIES]
+    assert len(good) == _PATTERN_TRIES
+    assert all(_factor_degrees_mod_p(f, p) != [f.degree] for p in good)  # split mod every prime tried
+    assert _modular_verdict(f) is None
+    calls = []
+    monkeypatch.setattr(algebraic, "certified_roots", lambda *a: calls.append(a) or certified_roots(*a))
+    if not irreducible:
+        with pytest.raises(DomainError, match="reducible"):
+            algebraic_number(f.coeffs, 1)
+        assert len(calls) == 1
+        return
+    beta = algebraic_number(f.coeffs, 1)
+    assert len(calls) == 1 and "embedding" in vars(beta)  # the fallback's roots, kept
+    assert beta.embedding == certified_roots(f).floats()[1]
+    assert len(calls) == 1  # no second root run
+    assert beta == algebraic.AlgebraicNumber(f, 1) and hash(beta) == hash(algebraic.AlgebraicNumber(f, 1))
+
+
+#: two roots 1e-25 apart: (10^20 x - 10^25 + 7)((10^20 + 1) x - 10^25 - 3)(x^2 + 1) + 1
+CLOSE_ROOTS = IntPoly.of(-10**25 + 7, 10**20) * IntPoly.of(-10**25 - 3, 10**20 + 1) * IntPoly.of(1, 0, 1) + IntPoly.of(1)
+
+
+def test_close_roots_are_decided_irreducible_without_separating_them():
+    assert sympy.Poly(list(reversed(CLOSE_ROOTS.coeffs)), X).is_irreducible
+    with pytest.raises(PrecisionError):  # the root-subset test cannot read this f
+        _is_irreducible(CLOSE_ROOTS, certified_roots(CLOSE_ROOTS))
+    assert _modular_verdict(CLOSE_ROOTS) is True
+    beta = algebraic_number(CLOSE_ROOTS.coeffs, 2)
+    assert beta.minpoly == CLOSE_ROOTS and beta.degree == 4 and "embedding" not in vars(beta)
+
+
+def _bench_poly_inputs() -> set[tuple[tuple[int, ...], int]]:
+    """(coefficients, index) of every poly: beta in the first 16 ops of each
+    benchmark workload at seeds 1-5."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    found = set()
+    for name in workloads.WORKLOADS:
+        for seed in range(1, 6):
+            for op in itertools.islice(workloads.generate(name, seed), 16):
+                for arg in op.argv:
+                    if arg.startswith("--beta=poly:"):
+                        body, index = arg[len("--beta=poly:"):].rsplit("@", 1)
+                        found.add((tuple(map(int, body.split(","))), int(index)))
+    return found
+
+
+def test_embedding_read_on_demand_equals_the_eager_root_bit_for_bit():
+    cases = sorted(_bench_poly_inputs())
+    assert len(cases) > 20 and {len(c) - 1 for c, _ in cases} >= {2, 3, 4}
+    grid = [f for f, irreducible in zip(_higher_degree_grid(), _sympy_verdicts()) if irreducible]
+    cases += [(f.coeffs, k % f.degree) for k, f in enumerate(grid)]  # one embedding each, every index in turn
+    for coeffs, index in cases:
+        beta = algebraic_number(coeffs, index)
+        assert "embedding" not in vars(beta)
+        eager = certified_roots(beta.minpoly, 1e-12).floats()[index]
+        got = beta.embedding
+        assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex()) == (
+            eager.value.real.hex(), eager.value.imag.hex(), eager.error_bound.hex()), (coeffs, index)
+        assert beta.embedding is got  # computed once

@@ -180,20 +180,31 @@ def test_equidist_bad_place_is_a_usage_error(place, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_precision_error_exits_three(capsys):
-    # two roots closer than the 256-bit ceiling can separate: the
-    # irreducibility test cannot certify them, which is not a usage error
-    beta = (
-        "poly:99999999999999999999999959999999999999999999999980,"
-        "-2000000000000000000009999599999999999999999993,"
-        "100000000009999999999999960000099999999999999999979,"
-        "-2000000000000000000009999599999999999999999993,"
-        "10000000000000000000100000000000000000000"
-    )
-    assert main(["height", f"--beta={beta}"]) == 3
+#: (10^20 x - 10^25 + 7)((10^20 + 1) x - 10^25 - 3)(x^2 + 1) + 1: two roots
+#: about 1e-25 apart, irreducible mod 13
+CLOSE_ROOTS = (
+    "poly:99999999999999999999999959999999999999999999999980,"
+    "-2000000000000000000009999599999999999999999993,"
+    "100000000009999999999999960000099999999999999999979,"
+    "-2000000000000000000009999599999999999999999993,"
+    "10000000000000000000100000000000000000000"
+)
+
+
+def test_precision_error_exits_three(capsys, monkeypatch):
+    # at a 128-bit ceiling the Mahler measure cannot certify the two close
+    # roots, which is not a usage error
+    monkeypatch.setenv("CHEB_PRECISION_BITS", "128")
+    assert main(["height", f"--beta={CLOSE_ROOTS}"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("precision error: ")
+
+
+def test_close_roots_scan_needs_no_roots(capsys):
+    # irreducibility is decided mod 13, and a scan reads no embedding
+    assert main(["scan", f"--beta={CLOSE_ROOTS}", "--S=inf,2,3", "--Nmax=60"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["beta"] == CLOSE_ROOTS + "@0"
 
 
 def test_report_to_json_rejects_non_finite():
@@ -303,6 +314,10 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         # Phi_N is a plain-integer power series, so no pairing reads numpy
         ["sintegral", "--beta", "3", "--N", "5", "--S", "inf,11"],
         ["cor33", "--beta", "3", "--p", "11", "--Nmax", "100"],
+        # irreducibility is decided mod p and no scan reads the embedding, so
+        # an algebraic scan finds no roots and builds no psi_N
+        ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"],
+        ["scan", "--beta", "poly:-1,1,3@1", "--S", "inf,2,3", "--Nmax", "60"],
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
@@ -311,10 +326,6 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         argv = ["equidist", "--beta", "7/3", "--place", place, "--Nmax", "50"]
         after_import, code, loaded = _heavy_modules(argv)
         assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
-    # a non-monic cubic reads mpmath for its roots but builds no psi_N
-    argv = ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"]
-    after_import, code, loaded = _heavy_modules(argv)
-    assert after_import == [] and code == 0 and "numpy" not in loaded
 
 
 def test_no_module_imports_numpy_mpmath_or_sympy_at_load():

@@ -48,7 +48,7 @@ def test_weil_algebraic_examples():
 def test_weil_algebraic_degree_cap():
     coeffs = [1] + [0] * 16 + [1]  # degree 17
     with pytest.raises(DomainError):
-        weil_height_algebraic(AlgebraicNumber(IntPoly.from_coeffs(coeffs), ApproxComplex(1 + 0j, 1.0), 0))
+        weil_height_algebraic(AlgebraicNumber.with_embedding(IntPoly.from_coeffs(coeffs), 0, ApproxComplex(1 + 0j, 1.0)))
 
 
 def test_canonical_height_oracles():
@@ -100,7 +100,7 @@ def test_weil_minus_canonical_bounded():
 def test_vanishes_on_preperiodic_orbits():
     for n in range(1, 21):
         orbit = preperiodic_orbit(n)
-        beta = AlgebraicNumber(orbit.minpoly, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16), 0)
+        beta = AlgebraicNumber.with_embedding(orbit.minpoly, 0, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16))
         assert canonical_height(beta, 2, 1e-9).value <= 1e-9
 
 
@@ -136,7 +136,7 @@ def test_orbit_generator_height_matches_mahler_route():
         orbit = preperiodic_orbit(n)
         direct = orbit_generator_height(n).value
         via_roots = weil_height_algebraic(
-            AlgebraicNumber(orbit.minpoly, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16), 0)
+            AlgebraicNumber.with_embedding(orbit.minpoly, 0, ApproxComplex(complex(orbit.conjugates[0].value), 4e-16))
         ).value
         assert abs(direct - via_roots) < 1e-11, n
 

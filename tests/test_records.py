@@ -54,8 +54,8 @@ CALLS = [
     (ApproxReal, ApproxRealT, (float("nan"), 0.0), {}),
     (IntPoly, IntPolyT, ((-2, 0, 1),), {}),
     (IntPoly, IntPolyT, (), {"coeffs": ()}),
-    (AlgebraicNumber, AlgebraicNumberT, (ROOT2.minpoly, ROOT2.embedding, 1), {}),
-    (AlgebraicNumber, AlgebraicNumberT, (ROOT2.minpoly,), {"index": 1, "embedding": ROOT2.embedding}),
+    (AlgebraicNumber, AlgebraicNumberT, (ROOT2.minpoly, 1), {}),
+    (AlgebraicNumber, AlgebraicNumberT, (ROOT2.minpoly,), {"index": 1}),
     (NearOrbitReport, NearOrbitReportT, REPORT, {}),
     (NearOrbitReport, NearOrbitReportT, REPORT, {"orbit_size_constant": 2.5}),
     (NearOrbitReport, NearOrbitReportT, REPORT + (2.5,), {}),
