@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
@@ -359,24 +360,49 @@ def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
             avg = real_place_lambda_average(h_beta, h_alpha.value, size, sieve.log_abs(n))
             rows.append((n, size, abs(avg - integral)))
         return rows
-    p = place.p
-    return [(n, orbit_size(n), float(sieve.valuation(n, p)) * math.log(p) / orbit_size(n)) for n in orders]
+    p, log_p = place.p, math.log(place.p)
+    return [(n, size, float(sieve.valuation(n, p)) * log_p / size) for n, size in zip(orders, map(orbit_size, orders))]
+
+
+def _dyadic_integers(logs) -> tuple[list[int], int]:
+    """Integers m_i and one shift k with logs[i] == m_i / 2**k exactly.
+
+    A nonzero double v with frexp exponent e is a multiple of 2**(e - 53),
+    so k = 53 - (the least exponent) serves every value, and v * 2**k is an
+    exact integral double. The logarithm of a double is 0 or at least 2**-54
+    in size and at most 745, so k <= 107 and nothing overflows.
+    """
+    tiny = min((abs(v) for v in logs if v), default=1.0)
+    k = 53 - math.frexp(tiny)[1]
+    scale = 2.0**k
+    return [int(v * scale) for v in logs], k
 
 
 def fitted_slope(sizes, discrepancies) -> float:
     """Least-squares slope of log(discrepancy) against log(orbit size).
 
-    Zero discrepancies (exact-vanishing rows) are left out of the fit; with
-    fewer than two usable rows the slope is reported as 0.
+    The points are the floats x = math.log(size), y = math.log(discrepancy)
+    of the rows with discrepancy > 0 (exact-vanishing rows are left out).
+    The slope is the exact rational (n Sxy - Sx Sy) / (n Sxx - Sx^2) of those
+    floats, rounded once to the nearest double: every float is an integer
+    over a power of two, so the sums are formed in integers and the one
+    rounding is CPython's correctly rounded int division. With fewer than two
+    usable rows, or when every usable row has the same size (a zero
+    denominator), the slope is reported as 0.
     """
-    import numpy as np
-
-    xs = np.asarray(sizes, dtype=float)
-    ys = np.asarray(discrepancies, dtype=float)
-    keep = ys > 0
-    if keep.sum() < 2:
+    xs, kx = _dyadic_integers([math.log(size) for size, disc in zip(sizes, discrepancies) if disc > 0])
+    if len(xs) < 2:
         return 0.0
-    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
+    ys, ky = _dyadic_integers([math.log(disc) for disc in discrepancies if disc > 0])
+    n, sx = len(xs), sum(xs)
+    den = n * sum(map(operator.mul, xs, xs)) - sx * sx
+    if den == 0:
+        return 0.0
+    num = n * sum(map(operator.mul, xs, ys)) - sx * sum(ys)
+    # the slope of the unscaled points is num / den * 2**(kx - ky)
+    if kx >= ky:
+        return (num << (kx - ky)) / den
+    return num / (den << (ky - kx))
 
 
 @record

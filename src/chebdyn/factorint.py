@@ -154,11 +154,14 @@ def padic_valuation(q, p: int):
     """v_p(q) for a rational q, with v_p(0) = +infinity."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
+    if isinstance(q, int):
+        num, den = q, 1
+    else:
+        q = Fraction(q)
+        num, den = q.numerator, q.denominator
+    if num == 0:
         return math.inf
     v = 0
-    num, den = q.numerator, q.denominator
     while num % p == 0:
         num //= p
         v += 1

@@ -318,14 +318,17 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         # an algebraic scan finds no roots and builds no psi_N
         ["scan", "--beta", "poly:-3,1,2,5@1", "--S", "inf,2,5", "--Nmax", "60"],
         ["scan", "--beta", "poly:-1,1,3@1", "--S", "inf,2,3", "--Nmax", "60"],
+        # finite-place rows come from the exact sieve and the slope is an
+        # integer least-squares fit
+        ["equidist", "--beta", "7/3", "--place", "3", "--Nmax", "50"],
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
-    # kappa is a constant, not a quadrature
-    for place in ("3", "inf"):
-        argv = ["equidist", "--beta", "7/3", "--place", place, "--Nmax", "50"]
-        after_import, code, loaded = _heavy_modules(argv)
-        assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
+    # the real place reads each h(alpha_N) from numpy conjugates; kappa is a
+    # closed-form constant, so no quadrature loads mpmath
+    argv = ["equidist", "--beta", "7/3", "--place", "inf", "--Nmax", "50"]
+    after_import, code, loaded = _heavy_modules(argv)
+    assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
 
 
 def test_no_module_imports_numpy_mpmath_or_sympy_at_load():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from chebdyn import (
@@ -27,10 +28,11 @@ from chebdyn.equidist import (
     DecayConstants,
     arch_discrepancy_fast,
     equidist_rows,
+    fitted_slope,
     measure_invariance_gap,
     quadrature_potential,
 )
-from chebdyn import factorint
+from chebdyn import factorint, is_prime
 from chebdyn.integrality import PairingSieve, newton_polygon_valuations, orbit_shift_poly
 
 
@@ -217,6 +219,66 @@ def test_real_place_rows_factor_nothing(monkeypatch):
     rows = equidist_rows(Fraction(54497, 28758), ARCH, range(1, 3001))
     assert len(rows) == 3000
     assert calls == []
+
+
+def _exact_slope(sizes, discs):
+    # the least-squares slope of the float points, summed in Fractions
+    pts = [(Fraction(math.log(s)), Fraction(math.log(d))) for s, d in zip(sizes, discs) if d > 0]
+    n = len(pts)
+    sx, sy = sum(x for x, _ in pts), sum(y for _, y in pts)
+    num = n * sum(x * y for x, y in pts) - sx * sy
+    den = n * sum(x * x for x, _ in pts) - sx * sx
+    return float(Fraction(num, den))
+
+
+def test_fitted_slope_is_the_exact_slope_rounded_once():
+    rng = random.Random(2311)
+    for _ in range(60):
+        k = rng.randint(2, 200)
+        sizes = [rng.randint(2, 1500) for _ in range(k)]
+        discs = [10 ** rng.uniform(-300, 0) for _ in range(k)]
+        assert fitted_slope(sizes, discs) == _exact_slope(sizes, discs)
+
+
+def test_fitted_slope_matches_polyfit():
+    def polyfit(sizes, discs):
+        keep = [(s, d) for s, d in zip(sizes, discs) if d > 0]
+        xs, ys = zip(*keep)
+        return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys)), 1)[0])
+
+    # criterion 7's data: beta = 3 at the real place, prime N in [100, 5000]
+    orders = [n for n in range(100, 5001) if is_prime(n)]
+    sieve = PairingSieve(Fraction(3), max(orders))
+    recs = [arch_discrepancy_fast(sieve, n) for n in orders]
+    fits = [([r.orbit_size for r in recs], [r.discrepancy for r in recs])]
+    # the CLI's rows (orbit size > 1) of rational sweeps at both kinds of place
+    for beta, place in [
+        (Fraction(97, 89), ARCH),
+        (Fraction(-11, 7), ARCH),
+        (Fraction(8, 9), Place(7)),
+        (Fraction(-71, 13), Place(2)),
+        (Fraction(3), Place(3)),
+    ]:
+        rows = [(size, d) for _, size, d in equidist_rows(beta, place, range(1, 401)) if size > 1]
+        fits.append(([size for size, _ in rows], [d for _, d in rows]))
+    for sizes, discs in fits:
+        slope = fitted_slope(sizes, discs)
+        assert slope < 0
+        assert abs(slope - polyfit(sizes, discs)) <= 1e-12 * abs(slope)
+
+
+def test_fitted_slope_edge_cases():
+    assert fitted_slope([], []) == 0.0
+    # fewer than two positive rows
+    assert fitted_slope([5, 7, 9], [0.1, 0.0, 0.0]) == 0.0
+    # every usable row has one size: the denominator vanishes
+    assert fitted_slope([7, 7, 7], [0.1, 0.2, 0.3]) == 0.0
+    assert fitted_slope([7, 9, 7], [0.1, 0.0, 0.3]) == 0.0
+    # zero discrepancies are left out of the fit
+    sizes, discs = [3, 5, 11, 23, 47], [0.4, 0.3, 0.11, 0.06, 0.02]
+    slope = fitted_slope(sizes, discs)
+    assert slope < 0
+    assert fitted_slope([2, *sizes, 101], [0.0, *discs, 0.0]) == slope
 
 
 def test_az_estimate_consistency():

@@ -67,6 +67,9 @@ def test_padic_examples():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(Fraction(1, 9), 3) == -2
     assert padic_valuation(0, 5) == math.inf
+    # an int skips the Fraction; its sign does not matter
+    assert padic_valuation(-48, 2) == 4
+    assert padic_valuation(-7 * 3**40, 3) == padic_valuation(Fraction(7 * 3**40), 3) == 40
 
 
 def test_padic_rejects_composite():
