@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .algebraic import AlgebraicNumber
 from .cfrac import cf_convergents
-from .chebyshev import is_preperiodic_rational, preperiodic_orbit
+from .chebyshev import conjugates_fast, is_preperiodic_rational, preperiodic_orbit
 from .errors import DomainError, PrecisionError, PreperiodicInputError
 from .heights import weil_height_algebraic, weil_height_rational
 from .integrality import arch_proximity
@@ -191,6 +191,12 @@ def angle_rational_gap(
     )
 
 
+#: points of the log grid that ``assembled_constant`` maximizes over
+GRID_POINTS = 20000
+#: grid points per block of its pruned scan
+GRID_BLOCK = 64
+
+
 def assembled_constant(beta: AlgebraicNumber, eps: float) -> float:
     """The explicit C_eps built from the proof chain, valid for every
     reduced a/N with |a/N - theta_0| < 1/2 (all convergents qualify).
@@ -200,11 +206,17 @@ def assembled_constant(beta: AlgebraicNumber, eps: float) -> float:
 
     with L2 the alpha_2 size parameter and B_up(N) an upper bound for B
     along convergents (|a| <= N/2 + 1). The supremum of the smooth
-    majorant is located on a dense log grid; the function decays like
-    (log N)^2 / N^eps past its single interior peak.
-    """
-    import numpy as np
+    majorant is located on a dense log grid, GRID_POINTS values of log N
+    spaced evenly from log 2 to max(12/eps, 30) (as np.linspace places
+    them); the function decays like (log N)^2 / N^eps past its single
+    interior peak.
 
+    The numerator and the denominator are both non-decreasing in N, so a
+    block of GRID_BLOCK points is bounded by num(last) / den(first), padded
+    by 1e-12 for rounding. Blocks are read in decreasing order of that
+    bound until it falls below the largest ratio seen, as no later block
+    can hold the maximum; the maximum is the full scan's, bit for bit.
+    """
     if eps <= 0:
         raise DomainError("eps must be positive")
     d = beta.degree
@@ -213,14 +225,31 @@ def assembled_constant(beta: AlgebraicNumber, eps: float) -> float:
         raise DomainError("beta is a root of unity")
     theta, _ = certified_angle(beta)
     l2 = max(h, 2 * math.pi * abs(float(theta)) / d, 1.0 / d)
-    log_n_grid = np.linspace(math.log(2), max(12.0 / eps, 30.0), 20000)
-    n_grid = np.exp(log_n_grid)
-    b_up = (n_grid / 2 + 1) / (d * l2) + n_grid
-    e_of_n = 21600.0 * d**3 * l2 * np.maximum(10.0, np.log(b_up)) ** 2 + np.log(
-        2 * math.pi * n_grid
-    )
-    ratio = e_of_n / (d**3 * h * n_grid**eps)
-    return float(ratio.max()) * 1.0001
+    start, stop = math.log(2), max(12.0 / eps, 30.0)
+    last = GRID_POINTS - 1
+    step = (stop - start) / last
+    dl2, c1, two_pi, dh = d * l2, 21600.0 * d**3 * l2, 2 * math.pi, d**3 * h
+
+    def point(i):  # N at the i-th grid point
+        return math.exp(stop if i == last else i * step + start)
+
+    def num(n):
+        m = max(10.0, math.log((n / 2 + 1) / dl2 + n))
+        return c1 * (m * m) + math.log(two_pi * n)
+
+    def den(n):
+        return dh * n**eps
+
+    blocks = []
+    for lo in range(0, GRID_POINTS, GRID_BLOCK):
+        hi = min(lo + GRID_BLOCK, GRID_POINTS) - 1
+        blocks.append((num(point(hi)) / den(point(lo)) * (1 + 1e-12), lo, hi))
+    best = -math.inf
+    for bound, lo, hi in sorted(blocks, reverse=True):
+        if bound < best:
+            break
+        best = max(best, *(num(n) / den(n) for n in map(point, range(lo, hi + 1))))
+    return best * 1.0001
 
 
 @record
@@ -328,8 +357,8 @@ def proximity_bound_check(
         records.append(ProximityRecord(n, orbit.size, prox, bound, prox < bound))
         if sandwich_ok is not None:
             lo, hi = abs(b_num.real) - 2, abs(b_num.real) + 2
-            gaps = abs(orbit.conjugates_array() - complex(b_num))
-            if gaps.min() < lo - 1e-9 or gaps.max() > hi + 1e-9:
+            gaps = [abs(x - b_num) for x in conjugates_fast(n)]
+            if min(gaps) < lo - 1e-9 or max(gaps) > hi + 1e-9:
                 sandwich_ok = False
     return ProximityCheck(
         beta=label,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import sub
 
 from .errors import DomainError
@@ -182,24 +182,30 @@ def orbit_size(n: int) -> int:
     return sum(mu * d for d, mu in moebius_divisors(n)) // 2
 
 
+def _coprime_mask(n: int) -> bytearray:
+    """For n >= 3, a 1 at each 0 <= a <= n/2 with gcd(a, n) = 1: the
+    multiples of each prime factor of n (0 among them) struck from all ones."""
+    half = n // 2
+    keep = bytearray(b"\x01") * (half + 1)
+    for p in distinct_primes(n):
+        keep[::p] = bytes(half // p + 1)
+    return keep
+
+
 def coprime_residues_half(n: int) -> list[int]:
     """a with gcd(a, n) = 1 and 1 <= a <= n/2 (a = 1 for n <= 2)."""
     if n <= 2:
         return [1]
-    return [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
+    return list(compress(range(n // 2 + 1), _coprime_mask(n)))
 
 
 def coprime_residue_array(n: int) -> np.ndarray:
-    """``coprime_residues_half(n)`` as an integer array: the multiples of each
-    prime factor of n struck from 0..n/2 in a bool mask."""
+    """``coprime_residues_half(n)`` as an integer array."""
     import numpy as np
 
     if n <= 2:
         return np.array([1])
-    keep = np.ones(n // 2 + 1, dtype=bool)
-    for p in distinct_primes(n):
-        keep[::p] = False
-    return np.flatnonzero(keep)
+    return np.flatnonzero(np.frombuffer(_coprime_mask(n), dtype=bool))
 
 
 _PK_CACHE: list[list[int]] = [[2], [0, 1]]
@@ -233,29 +239,28 @@ def halved_minpoly(n: int) -> IntPoly:
     return IntPoly.from_coeffs(out)
 
 
-#: Rigorous bound on |conjugates_fast(n)[i] - 2 cos(2 pi a_i / n)| for
-#: 1 <= a_i <= n/2 in float64 (u = 2^-53; a and n are exact floats):
-#: - argument: 2.0*np.pi = 2 pi (1 + e0) with |e0| < u/2, and the product
+#: Rigorous bound on |x - 2 cos(2 pi a / n)| for each conjugate x of
+#: ``conjugates_fast`` and ``conjugate_blocks``, 1 <= a <= n/2, in float64
+#: (u = 2^-53; a and n are exact floats):
+#: - argument: 2.0*pi = 2 pi (1 + e0) with |e0| < u/2, and the product
 #:   and the quotient each round once, so the float angle is
 #:   theta (1 + e0)(1 + e1)(1 + e2) with |e1|, |e2| <= u; as theta <= pi its
 #:   error is at most pi ((1 + u/2)(1 + u)^2 - 1) < 2.5000001 pi u.
 #: - cos is 1-Lipschitz, so that error passes through unchanged.
-#: - numpy's float64 cos is within 1 ulp (its own accuracy suite holds it to
-#:   1 ulp, as glibc and macOS libm hold theirs); ulp <= 2u on [-1, 1].
+#: - the float64 cos is within 1 ulp: libm's ``math.cos`` in the per-orbit
+#:   kernel (glibc and macOS libm hold theirs to 1 ulp) and numpy's in the
+#:   blocks (its own accuracy suite holds it to 1 ulp); ulp <= 2u on [-1, 1].
 #: - the doubling is exact, so the total is 2 (2.5000001 pi + 2) u < 2.19e-15.
 ORBIT_COS_ERROR = 2.2e-15
 
 
-def conjugates_fast(n: int) -> np.ndarray:
-    """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, in
-    float64: each within ORBIT_COS_ERROR, and exact for n <= 2."""
-    import numpy as np
-
-    if n == 1:
-        return np.array([2.0])
-    if n == 2:
-        return np.array([-2.0])
-    return 2.0 * np.cos(2.0 * np.pi * coprime_residue_array(n) / n)
+def conjugates_fast(n: int) -> list[float]:
+    """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, as
+    floats: each within ORBIT_COS_ERROR, and exact for n <= 2."""
+    if n <= 2:
+        return [2.0 if n == 1 else -2.0]
+    two_pi = 2.0 * math.pi
+    return [2.0 * math.cos(two_pi * a / n) for a in coprime_residues_half(n)]
 
 
 #: conjugates per block of ``conjugate_blocks``: half a megabyte per float64
@@ -268,8 +273,9 @@ def conjugate_blocks(orders):
     """``conjugates_fast(n)`` for every n in orders, a block at a time.
 
     Yields (counts, x): x holds the conjugates of a run of consecutive
-    orders one after another, counts[i] of them for the i-th, equal bit for
-    bit to ``conjugates_fast`` (the same float64 formula, elementwise). A
+    orders one after another, counts[i] of them for the i-th, from the same
+    float64 formula as ``conjugates_fast`` with numpy's cos in place of
+    libm's (the test suite finds them equal bit for bit for n <= 3000). A
     block closes before it would pass CONJUGATE_BLOCK conjugates, so an
     order larger than that comes alone.
     """
@@ -320,20 +326,17 @@ class PreperiodicOrbit:
 
     @property
     def conjugate_error_bound(self) -> float:
-        """The error bound of every value in ``conjugates_array()``."""
+        """The error bound of every value in ``conjugates_fast(order)``."""
         return ORBIT_COS_ERROR if self.order > 2 else 0.0
 
     @property
     def conjugates(self) -> tuple[ApproxReal, ...]:
         bound = self.conjugate_error_bound
-        return tuple(ApproxReal(x, bound) for x in self.conjugates_array().tolist())
+        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order))
 
     def conjugate_mp(self, i: int, prec: int = 64):
         """High-precision conjugate value (mpf) for escalation paths."""
         return cos_two_pi(self.a_values[i], self.order, prec)
-
-    def conjugates_array(self) -> np.ndarray:
-        return conjugates_fast(self.order)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from .baker import convergent_scan, proximity_bound_check
 from .chebyshev import (
     cheb_eval,
     cheb_poly,
+    conjugates_fast,
     is_preperiodic_rational,
     minpoly_conjugate_residuals,
     minpoly_identity_mod,
@@ -153,7 +154,7 @@ def cmd_orbit(args):
     n = args.N
     orbit = preperiodic_orbit(n)
     residual = float(minpoly_conjugate_residuals(n).max())
-    conjugates = orbit.conjugates_array().tolist()
+    conjugates = conjugates_fast(n)
     checks = [
         make_check("minpoly-monic", orbit.minpoly.is_monic, orbit.minpoly.coeffs[-1], 1),
         make_check("degree-equals-orbit-size", orbit.minpoly.degree == orbit.size, orbit.minpoly.degree, orbit.size),

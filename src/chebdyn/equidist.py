@@ -320,7 +320,7 @@ def arch_discrepancy_fast(sieve: PairingSieve, n: int) -> DiscrepancyRecord:
     with the orbit average read from the sieve's log|F_n|
     (``real_place_lambda_average``)."""
     beta = sieve.beta
-    size = orbit_size(n)
+    size = sieve.orbit_size(n)
     h_alpha = orbit_generator_height(n).value
     avg = real_place_lambda_average(weil_height_rational(beta).value, h_alpha, size, sieve.log_abs(n))
     integral = lambda_integral(beta, ARCH)
@@ -356,12 +356,12 @@ def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
         integral = lambda_integral(sieve.beta, ARCH)
         rows = []
         for n, h_alpha in zip(orders, orbit_generator_heights(orders)):
-            size = orbit_size(n)
+            size = sieve.orbit_size(n)
             avg = real_place_lambda_average(h_beta, h_alpha.value, size, sieve.log_abs(n))
             rows.append((n, size, abs(avg - integral)))
         return rows
     p, log_p = place.p, math.log(place.p)
-    return [(n, size, float(sieve.valuation(n, p)) * log_p / size) for n, size in zip(orders, map(orbit_size, orders))]
+    return [(n, size, float(sieve.valuation(n, p)) * log_p / size) for n, size in zip(orders, map(sieve.orbit_size, orders))]
 
 
 def _dyadic_integers(logs) -> tuple[list[int], int]:

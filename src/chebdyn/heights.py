@@ -75,7 +75,7 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
 
 def orbit_generator_height(n: int) -> HeightValue:
     """Height h(alpha_n) of alpha_n = zeta_n + 1/zeta_n: the mean of
-    log max(|x|, 1) over its conjugates x (``conjugates_fast``). The
+    log max(|x|, 1) over its conjugates x (``conjugate_blocks``). The
     one-order case of ``orbit_generator_heights``.
 
     This is the Mahler-measure formula of weil_height_algebraic (psi_n is

@@ -29,9 +29,9 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
+    conjugates_fast,
     is_preperiodic_rational,
     moebius_divisors,
-    orbit_size,
     preperiodic_orbit,
     symmetric_coeffs,
 )
@@ -365,9 +365,12 @@ class PairingSieve:
                     vals[d] = padic_valuation(g_d, p)
         self._log = [0.0] * (n_max + 1)
         self._val = {p: [0] * (n_max + 1) for p in primes}
+        self._size = [1] * (n_max + 1)
         for n in range(1, n_max + 1):
             terms = moebius_divisors(n)
             half = 2 if n >= 3 else 1
+            if n >= 3:
+                self._size[n] = sum(mu * d for d, mu in terms) // 2
             self._log[n] = sum(mu * log_g[d] for d, mu in terms) / half
             for p, vals in val_g.items():
                 self._val[p][n] = sum(mu * vals[d] for d, mu in terms) // half
@@ -379,6 +382,11 @@ class PairingSieve:
     def valuation(self, n: int, p: int) -> int:
         """v_p(F_n) for one of the sieve's primes."""
         return self._val[p][n]
+
+    def orbit_size(self, n: int) -> int:
+        """|P| = phi(n)/2 (1 for n <= 2), from the divisor sum the pass
+        already walks; ``chebyshev.orbit_size`` serves single orders."""
+        return self._size[n]
 
 
 def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
@@ -402,7 +410,7 @@ def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
         vals = [sieve.valuation(n, p) for p in stripped]
         if sieve.log_abs(n) - sum(v * lp for v, lp in zip(vals, logs)) >= COFACTOR_LOG_CUTOFF:
             continue
-        size = orbit_size(n)
+        size = sieve.orbit_size(n)
         rows.append((n, size, {p: e for p, e in zip(s_fin, vals) if e}))
         if size > size_threshold:
             exceptional += 1
@@ -567,22 +575,22 @@ def arch_proximity(orbit: PreperiodicOrbit, beta) -> float:
     uncertainty of a conjugate; a genuine coincidence (zero pairing value)
     raises.
     """
-    import mpmath as mp
-    import numpy as np
-
     if isinstance(beta, AlgebraicNumber):
         b, berr = complex(beta.embedding.value), beta.embedding.error_bound
     else:
         beta = Fraction(beta)
         b, berr = complex(beta), abs(float(beta)) * 2e-16
-    vals = orbit.conjugates_array()
-    gaps = np.abs(vals - b)
-    i = int(np.argmin(gaps))
-    if gaps[i] > 1e-6 + 8 * berr:
-        return float(-math.log(gaps[i]))
+    gaps = [abs(x - b) for x in conjugates_fast(orbit.order)]
+    gap = min(gaps)
+    if gap > 1e-6 + 8 * berr:
+        return -math.log(gap)
     # conjugate too close for float64: rule out beta being a conjugate
-    # exactly, then recompute that gap at high precision
+    # exactly, then recompute the gap to the first nearest one at high
+    # precision
+    import mpmath as mp
+
     pairing_value(orbit.order, beta)
+    i = gaps.index(gap)
     for prec in precision_ladder(128):
         c = orbit.conjugate_mp(i, prec)
         with mp.workprec(prec):

@@ -1,7 +1,9 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chebdyn import algebraic, heights, roots
@@ -114,6 +116,45 @@ def test_convergent_scan_one_point():
 def test_assembled_constant_grows_with_small_eps():
     beta = algebraic_number([5, -6, 5], 1)
     assert assembled_constant(beta, 0.05) > assembled_constant(beta, 0.5)
+
+
+ORACLE_EPS = (0.02, 0.05, 0.1, 0.2, 0.5, 1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_grid(eps):
+    """N, log(2 pi N) and N^eps at each of the 20000 points of np.linspace's
+    log grid, each value from libm."""
+    n = [math.exp(t) for t in np.linspace(math.log(2), max(12.0 / eps, 30.0), 20000).tolist()]
+    return np.array(n), np.array([math.log(2 * math.pi * x) for x in n]), np.array([x**eps for x in n])
+
+
+def _full_scan_constant(beta, eps):
+    """The full 20000-point maximum that assembled_constant prunes: the
+    majorant's ratio at every grid point (libm for exp, log and pow; numpy
+    only for the correctly rounded elementwise arithmetic)."""
+    d, h = beta.degree, weil_height_algebraic(beta).value
+    l2 = max(h, 2 * math.pi * abs(float(certified_angle(beta)[0])) / d, 1.0 / d)
+    n, log_2pi_n, n_eps = _oracle_grid(eps)
+    log_b = np.fromiter(map(math.log, ((n / 2 + 1) / (d * l2) + n).tolist()), float, n.size)
+    ratio = (21600.0 * d**3 * l2 * np.maximum(10.0, log_b) ** 2 + log_2pi_n) / (d**3 * h * n_eps)
+    return float(ratio.max()) * 1.0001
+
+
+def test_pruned_assembled_constant_equals_the_full_scan():
+    # every primitive a x^2 + b x + a with a <= 12 and |b| < 2a (both roots on
+    # the unit circle, not roots of unity as a > 1), one embedding each: the
+    # other has the opposite angle and the same constant
+    betas = [
+        algebraic_number([a, b, a], (a + b) % 2)
+        for a in range(2, 13)
+        for b in range(1 - 2 * a, 2 * a)
+        if math.gcd(a, b) == 1
+    ]
+    assert len(betas) == 180
+    for beta in betas:
+        for eps in ORACLE_EPS:
+            assert assembled_constant(beta, eps) == _full_scan_constant(beta, eps), (beta.minpoly, eps)
 
 
 def test_proximity_check_beta_3():

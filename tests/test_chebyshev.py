@@ -25,6 +25,7 @@ from chebdyn import chebyshev
 from chebdyn.chebyshev import (
     ORBIT_COS_ERROR,
     ChebMap,
+    conjugate_blocks,
     conjugates_fast,
     coprime_residue_array,
     coprime_residues_half,
@@ -173,12 +174,12 @@ def test_orbit_conjugate_error_bounds_hold():
         assert abs(_scaled_cosines(n, bits)[a] - exact) < 2**30
     for n, bound in ((1, 0.0), (2, 0.0), (3, ORBIT_COS_ERROR), (41, ORBIT_COS_ERROR)):
         conj = preperiodic_orbit(n).conjugates
-        assert [c.value for c in conj] == conjugates_fast(n).tolist()
+        assert [c.value for c in conj] == conjugates_fast(n)
         assert all(type(c.value) is float and c.error_bound == bound for c in conj)
     worst = 0.0
     for n in range(3, 2001):
         xs = _scaled_cosines(n, bits)
-        for a, c in zip(coprime_residues_half(n), conjugates_fast(n).tolist()):
+        for a, c in zip(coprime_residues_half(n), conjugates_fast(n)):
             err = abs(int(c * 2.0**bits) - xs[a]) / 2**bits
             assert err <= ORBIT_COS_ERROR, (n, a, err)
             worst = max(worst, err)
@@ -186,17 +187,30 @@ def test_orbit_conjugate_error_bounds_hold():
 
 
 def test_coprime_sieve_matches_gcd_filter():
-    # oracle: math.gcd over 1..n/2, and the np.gcd filter conjugates_fast used
+    # oracle: math.gcd over 1..n/2, and the np.gcd filter and numpy cos the
+    # per-orbit kernel used before it moved to libm
     import numpy as np
 
     for n in range(1, 4001):
-        a = coprime_residue_array(n)
-        assert a.tolist() == coprime_residues_half(n), n
+        want = [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1] if n > 2 else [1]
+        assert coprime_residues_half(n) == want, n
+        assert coprime_residue_array(n).tolist() == want, n
         if n > 2:
             b = np.arange(1, n // 2 + 1)
             b = b[np.gcd(b, n) == 1]
-            assert conjugates_fast(n).tolist() == (2.0 * np.cos(2.0 * np.pi * b / n)).tolist(), n
-    assert conjugates_fast(1).tolist() == [2.0] and conjugates_fast(2).tolist() == [-2.0]
+            assert conjugates_fast(n) == (2.0 * np.cos(2.0 * np.pi * b / n)).tolist(), n
+    assert conjugates_fast(1) == [2.0] and conjugates_fast(2) == [-2.0]
+
+
+def test_per_orbit_conjugates_equal_the_blocks_bit_for_bit():
+    # the libm list of each orbit against numpy's blockwise cos, for every
+    # n <= 3000: the one-order and the whole-sweep kernels read one value
+    orders = range(1, 3001)
+    blocks = list(conjugate_blocks(orders))
+    assert len(blocks) > 1  # the sweep crosses block boundaries
+    got = [x for n in orders for x in conjugates_fast(n)]
+    assert all(type(x) is float for x in got)
+    assert got == [x for _, block in blocks for x in block.tolist()]
 
 
 def test_orbit_generator_height_within_its_bound():

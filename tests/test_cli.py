@@ -329,6 +329,15 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
     argv = ["equidist", "--beta", "7/3", "--place", "inf", "--Nmax", "50"]
     after_import, code, loaded = _heavy_modules(argv)
     assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
+    # baker reads the angle of beta through mpmath, and its grid maximum and
+    # orbit conjugates through libm, so no baker op loads numpy
+    for argv in (
+        ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
+        ["baker", "--beta", "poly:7,3,7@0", "--eps", "0.1", "--Nmax", "200", "--prox-Nmax", "60"],
+    ):
+        after_import, code, loaded = _heavy_modules(argv)
+        assert after_import == [] and code == 0, argv
+        assert "mpmath" in loaded and "numpy" not in loaded and "sympy" not in loaded, argv
 
 
 def test_no_module_imports_numpy_mpmath_or_sympy_at_load():

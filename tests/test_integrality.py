@@ -27,7 +27,7 @@ from chebdyn import (
 )
 from chebdyn.chebyshev import halved_minpoly, orbit_norm_quadratic, orbit_value
 from chebdyn.errors import CoincidentPointsError
-from chebdyn.factorint import factor_counts, primes_upto, strip_primes
+from chebdyn.factorint import euler_phi, factor_counts, primes_upto, strip_primes
 from chebdyn.integrality import PairingSieve, orbit_shift_poly, pairing_value, scan_orbits
 
 
@@ -146,6 +146,7 @@ def test_pairing_sieve_matches_pairing_value():
             assert abs(sieve.log_abs(n) - math.log(abs(f))) < 1e-9, (beta, n)
             vals = [padic_valuation(f, p) for p in primes]
             assert [sieve.valuation(n, p) for p in primes] == vals, (beta, n)
+            assert sieve.orbit_size(n) == max(1, euler_phi(n) // 2), n
             hits += any(vals)
             if strip_primes(f, primes) == 1:
                 expected_rows.append((n, vals))
