@@ -199,15 +199,6 @@ def coprime_residues_half(n: int) -> list[int]:
     return list(compress(range(n // 2 + 1), _coprime_mask(n)))
 
 
-def coprime_residue_array(n: int) -> np.ndarray:
-    """``coprime_residues_half(n)`` as an integer array."""
-    import numpy as np
-
-    if n <= 2:
-        return np.array([1])
-    return np.flatnonzero(np.frombuffer(_coprime_mask(n), dtype=bool))
-
-
 _PK_CACHE: list[list[int]] = [[2], [0, 1]]
 
 
@@ -240,68 +231,27 @@ def halved_minpoly(n: int) -> IntPoly:
 
 
 #: Rigorous bound on |x - 2 cos(2 pi a / n)| for each conjugate x of
-#: ``conjugates_fast`` and ``conjugate_blocks``, 1 <= a <= n/2, in float64
+#: ``conjugates_fast``, 1 <= a <= n/2, in float64
 #: (u = 2^-53; a and n are exact floats):
 #: - argument: 2.0*pi = 2 pi (1 + e0) with |e0| < u/2, and the product
 #:   and the quotient each round once, so the float angle is
 #:   theta (1 + e0)(1 + e1)(1 + e2) with |e1|, |e2| <= u; as theta <= pi its
 #:   error is at most pi ((1 + u/2)(1 + u)^2 - 1) < 2.5000001 pi u.
 #: - cos is 1-Lipschitz, so that error passes through unchanged.
-#: - the float64 cos is within 1 ulp: libm's ``math.cos`` in the per-orbit
-#:   kernel (glibc and macOS libm hold theirs to 1 ulp) and numpy's in the
-#:   blocks (its own accuracy suite holds it to 1 ulp); ulp <= 2u on [-1, 1].
+#: - libm's ``math.cos`` is within 1 ulp (glibc and macOS libm hold theirs
+#:   to 1 ulp); ulp <= 2u on [-1, 1].
 #: - the doubling is exact, so the total is 2 (2.5000001 pi + 2) u < 2.19e-15.
 ORBIT_COS_ERROR = 2.2e-15
 
 
-def conjugates_fast(n: int) -> list[float]:
+def conjugates_fast(n: int, residues=None) -> list[float]:
     """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, as
-    floats: each within ORBIT_COS_ERROR, and exact for n <= 2."""
+    floats: each within ORBIT_COS_ERROR, and exact for n <= 2. A caller that
+    holds those a (``PreperiodicOrbit.a_values``) passes them as residues."""
     if n <= 2:
         return [2.0 if n == 1 else -2.0]
     two_pi = 2.0 * math.pi
-    return [2.0 * math.cos(two_pi * a / n) for a in coprime_residues_half(n)]
-
-
-#: conjugates per block of ``conjugate_blocks``: half a megabyte per float64
-#: temporary, where a table of every conjugate of a sweep to N = 3000 would
-#: hold 1.4 million
-CONJUGATE_BLOCK = 1 << 16
-
-
-def conjugate_blocks(orders):
-    """``conjugates_fast(n)`` for every n in orders, a block at a time.
-
-    Yields (counts, x): x holds the conjugates of a run of consecutive
-    orders one after another, counts[i] of them for the i-th, from the same
-    float64 formula as ``conjugates_fast`` with numpy's cos in place of
-    libm's (the test suite finds them equal bit for bit for n <= 3000). A
-    block closes before it would pass CONJUGATE_BLOCK conjugates, so an
-    order larger than that comes alone.
-    """
-    chunk, residues, total = [], [], 0
-    for n in orders:
-        a = coprime_residue_array(n)
-        if chunk and total + a.size > CONJUGATE_BLOCK:
-            yield _conjugate_block(chunk, residues)
-            chunk, residues, total = [], [], 0
-        chunk.append(n)
-        residues.append(a)
-        total += a.size
-    if chunk:
-        yield _conjugate_block(chunk, residues)
-
-
-def _conjugate_block(chunk: list[int], residues: list) -> tuple[list[int], np.ndarray]:
-    import numpy as np
-
-    counts = [a.size for a in residues]
-    n = np.repeat(chunk, counts)
-    x = 2.0 * np.cos(2.0 * np.pi * np.concatenate(residues) / n)
-    if min(chunk) <= 2:  # exact, as conjugates_fast returns them
-        x[n == 1] = 2.0
-        x[n == 2] = -2.0
-    return counts, x
+    return [2.0 * math.cos(two_pi * a / n) for a in residues or coprime_residues_half(n)]
 
 
 @record
@@ -332,7 +282,7 @@ class PreperiodicOrbit:
     @property
     def conjugates(self) -> tuple[ApproxReal, ...]:
         bound = self.conjugate_error_bound
-        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order))
+        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order, self.a_values))
 
     def conjugate_mp(self, i: int, prec: int = 64):
         """High-precision conjugate value (mpf) for escalation paths."""

@@ -22,6 +22,7 @@ from .chebyshev import conjugates_fast  # noqa: F401  (traced under this module 
 from .errors import DomainError, PreperiodicInputError
 from .factorint import padic_valuation
 from .heights import (
+    LOG_PLUS_INTEGRAL,
     HeightValue,
     canonical_height,
     orbit_generator_height,
@@ -88,10 +89,10 @@ def log_plus_integral() -> float:
     """kappa = int log+ |x| dmu(x) = (2/pi) int_0^{pi/3} log(2 cos t) dt.
 
     In closed form kappa = Cl_2(pi/3) / pi with Clausen's Cl_2, which is
-    Smyth's Mahler measure m(1 + x + y) = 3 sqrt(3) L(chi_-3, 2) / (4 pi); the
-    constant below is that value rounded to the nearest double.
+    Smyth's Mahler measure m(1 + x + y) = 3 sqrt(3) L(chi_-3, 2) / (4 pi);
+    ``heights.LOG_PLUS_INTEGRAL`` is that value rounded to the nearest double.
     """
-    return 0.32306594721945053
+    return LOG_PLUS_INTEGRAL
 
 
 def lambda_integral(beta, place: Place = ARCH) -> float:
@@ -341,11 +342,11 @@ def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
 
     One ``PairingSieve`` pass to max(orders) serves every row. At the real
     place each row is ``arch_discrepancy_fast``'s, with every h(alpha_N) read
-    from one blockwise pass (``orbit_generator_heights``) and h(beta) and the
-    integral taken once. At a finite place p the integral vanishes, so the
-    discrepancy is the orbit average v_p(F_N) log(p) / |P| itself
-    (``finite_lambda_average``; v_p(F_N) = 0 when p divides the denominator
-    of beta).
+    from ``orbit_generator_heights`` (a Moebius sum over the divisors of N, no
+    conjugate pass) and h(beta) and the integral taken once. At a finite
+    place p the integral vanishes, so the discrepancy is the orbit average
+    v_p(F_N) log(p) / |P| itself (``finite_lambda_average``; v_p(F_N) = 0
+    when p divides the denominator of beta).
     """
     if not orders:
         return []

@@ -7,6 +7,12 @@ and denominator sizes permit (4096 bits); after that only certified
 log-magnitudes are tracked, which is all the limit depends on. The closed
 form log((|x| + sqrt(x^2-4))/2) is deliberately NOT used here so it can
 serve as an independent oracle in the tests.
+
+The height of the order-N preperiodic point is read in closed form, not
+summed over its phi(N)/2 conjugates: a Moebius sum over the divisors d of N
+of the defect E(d) of the d-point Riemann sum of log max(1, |2 cos 2 pi t|),
+each E(d) a short libm sum (d < 100) or an Euler-Maclaurin series
+(``orbit_generator_heights``).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, algebraic_number
-from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, conjugate_blocks, is_preperiodic_rational
+from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, is_preperiodic_rational, moebius_divisors
 from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import precision_ladder
 from .records import record
@@ -73,43 +79,212 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
     return HeightValue(v, (err + 8e-16 * (1 + abs(v))), "mahler-numeric")
 
 
-def orbit_generator_height(n: int) -> HeightValue:
-    """Height h(alpha_n) of alpha_n = zeta_n + 1/zeta_n: the mean of
-    log max(|x|, 1) over its conjugates x (``conjugate_blocks``). The
-    one-order case of ``orbit_generator_heights``.
+#: kappa = int log+|x| dmu(x) (``equidist.log_plus_integral``), the mean of
+#: log max(1, |2 cos 2 pi t|) over t in [0, 1], rounded to the nearest double
+LOG_PLUS_INTEGRAL = 0.32306594721945053
+#: |LOG_PLUS_INTEGRAL - kappa| is at most half an ulp: kappa lies in [1/4, 1/2)
+LOG_PLUS_INTEGRAL_ERROR = 2.0**-55
 
-    This is the Mahler-measure formula of weil_height_algebraic (psi_n is
-    monic), summed over the closed-form conjugates. Error bound, with
-    u = 2^-53 and m = |P| terms y_i in [0, log 2] of exact mean y:
-    - each conjugate is within ORBIT_COS_ERROR and log max(|x|, 1) is
-      1-Lipschitz, so the exact terms move by at most ORBIT_COS_ERROR;
-    - numpy's float64 log is within 1 ulp, at most 2u y_i per term;
-    - summing m nonnegative terms in any order, whatever tree numpy uses,
-      errs by at most gamma_(m-1) = (m - 1) u / (1 - (m - 1) u) of the sum;
-      the sum runs over the order's own contiguous slice of a conjugate
-      block, so no other order's terms enter it;
-    - the division by m rounds once, u.
-    So the computed mean v is within ORBIT_COS_ERROR + (m + 2) u y of
-    h(alpha_n); the 1% pad on (m + 2) u v covers gamma's denominator and
-    y / v while (m + 2) u < 10^-3.
+#: E(d) is summed directly for d below this, and read from its
+#: Euler-Maclaurin series from it on
+DEFECT_SERIES_FROM = 100
+#: the series stops at the first order whose remainder bound is below this
+DEFECT_SERIES_TOL = 1e-19
+
+#: C >= d |E(d)| for every d >= 1 (``orbit_generator_heights``): the
+#: leading series term is -(2 pi / sqrt(3)) / d = -3.62760 / d at d = 0 mod 6.
+#: The test suite proves it from the certified E(d) for d < 10^4 (at most
+#: 3.627599) and the order-7 series with its remainder above (3.627599)
+ORBIT_HEIGHT_DEFECT_CONSTANT = 3.628
+
+_U = 2.0**-53  # float64 unit roundoff
+
+
+def _tan_derivatives():
+    """Yield p_0, p_1, ... with tan^(k)(pi/3) = p_k sqrt(3) for even k and p_k
+    for odd k (tan^(k) is an integer polynomial in tan, of the parity of
+    k + 1, and tan(pi/3) = sqrt(3)).
+
+    tan' = 1 + tan^2, so by Leibniz tan^(k+1) = [k = 0] + sum_i C(k, i)
+    tan^(i) tan^(k-i); two even orders multiply their sqrt(3)s to 3.
     """
+    p = [1]
+    while True:
+        yield p[-1]
+        k = len(p) - 1
+        odd = k % 2 == 0  # the new order k + 1
+        terms = (math.comb(k, i) * p[i] * p[k - i] * (3 if odd and i % 2 == 0 else 1) for i in range(k + 1))
+        p.append((k == 0) + sum(terms))
+
+
+@lru_cache(maxsize=None)
+def _defect_series() -> tuple[list[list[float]], list[list[float]], list[float]]:
+    """(coefficients, weights, thresholds) of the Euler-Maclaurin series of E(d).
+
+    With f(u) = log(2 cos 2 pi u), g = log max(1, |2 cos 2 pi t|) is f(t) on
+    |t| < 1/6, f(t - 1/2) on |t - 1/2| < 1/6 and 0 elsewhere, and f(+-1/6) =
+    0. Euler-Maclaurin on each arc (the lattice a/d against offsets 0 and
+    c = 1/2 [d odd]; f is even, so the two ends of an arc add, and the B_1
+    terms vanish with f(1/6)) gives, for every order J >= 2,
+
+        E(d) = sum_{j=2}^{J} e_{j, d mod 6} d^(1-j) + R_J(d),
+        e_{j,r} = (2 (-1)^j / j!) f^(j-1)(1/6) (B_j({r/6}) + B_j({r/6 + c})),
+        f^(k)(1/6) = -(2 pi)^k tan^(k-1)(pi/3),
+
+    so e_{2,0} = -2 pi / sqrt(3). R_J is the integral of B_J({x}) / J! against
+    the J-th derivative over both arcs; |B_J({x})| <= 2 J! zeta(J) / (2 pi)^J
+    and every derivative of tan is >= 0 on [0, pi/2), so
+    |R_J(d)| <= (4 zeta(J) / pi) tan^(J-2)(pi/3) d^(1-J).
+
+    coefficients[r][j - 2] is e_{j,r} in float64: the rational part is exact
+    (integer Bernoulli numbers over the common denominator of von Staudt and
+    Clausen, and D 6^j B_j(k/6) in integers) and rounds once, and the rest
+    costs at most (2 j + 2) u more. weights[r][j - 2] = (5 j + 1) |e_{j,r}|
+    bounds the whole float error of term j in ``_series_defect``.
+    thresholds[J] is the least d at which the remainder bound of order J is
+    below DEFECT_SERIES_TOL (inf for J < 2); the list ends at the first
+    order that reaches DEFECT_SERIES_FROM.
+    """
+    tans, p, thresholds = _tan_derivatives(), [], [math.inf, math.inf]
+    while thresholds[-1] > DEFECT_SERIES_FROM:
+        order = len(thresholds)
+        p.append(next(tans))  # p[order - 2]
+        zeta = 1.0 + 2.0**-order + 2.0 ** (1 - order) / (order - 1)  # >= zeta(order)
+        tan = p[-1] * (math.sqrt(3.0) if order % 2 == 0 else 1.0)
+        c = 4.0 / math.pi * zeta * tan * (1 + 1e-12)
+        d = math.ceil((c / DEFECT_SERIES_TOL) ** (1 / (order - 1)))
+        while c * float(d) ** (1 - order) > DEFECT_SERIES_TOL:
+            d += 1
+        thresholds.append(d)
+    top = len(thresholds) - 1
+    # D B_i in integers, D the product of the primes p with p - 1 <= top
+    den = math.prod(q for q in range(2, top + 2) if all(q % f for f in range(2, math.isqrt(q) + 1)))
+    beta = [den]
+    for m in range(1, top + 1):
+        beta.append(-sum(math.comb(m + 1, i) * beta[i] for i in range(m)) // (m + 1))
+    two_pi, sqrt3 = 2.0 * math.pi, math.sqrt(3.0)
+    coefficients = [[] for _ in range(6)]
+    weights = [[] for _ in range(6)]
+    power = 1.0  # (2 pi)^(j - 1)
+    for j in range(2, top + 1):
+        power *= two_pi
+        # D 6^j B_j(k/6) = sum_i C(j, i) (D B_i) 6^i k^(j-i)
+        at = [sum(math.comb(j, i) * beta[i] * 6**i * k ** (j - i) for i in range(j + 1)) for k in range(6)]
+        scale = power * (sqrt3 if j % 2 == 0 else 1.0)
+        sign = -1 if j % 2 == 0 else 1
+        for r in range(6):
+            pair = at[r] + at[r if r % 2 == 0 else (r + 3) % 6]
+            e = sign * 2 * p[j - 2] * pair / (math.factorial(j) * den * 6**j) * scale
+            coefficients[r].append(e)
+            weights[r].append((5 * j + 1) * abs(e))
+    return coefficients, weights, thresholds
+
+
+def _series_defect(d: int) -> tuple[float, float]:
+    """E(d) and its error bound from the Euler-Maclaurin series, d >= DEFECT_SERIES_FROM.
+
+    Horner in x = fl(1/d) over e_J .. e_2 and one last product by x: term j
+    meets at most 2 j - 2 roundings there and (j - 1) u from x, so with its
+    coefficient's (2 j + 2) u it is off by at most (5 j + 1) u |e_j| d^(1-j)
+    (to first order; the 1% pad covers the rest), besides the remainder.
+    """
+    coefficients, weights, thresholds = _defect_series()
+    order = next(j for j in range(2, len(thresholds)) if d >= thresholds[j])
+    x = 1.0 / d
+    value = weight = 0.0
+    for c, w in zip(reversed(coefficients[d % 6][: order - 1]), reversed(weights[d % 6][: order - 1])):
+        value = c + x * value
+        weight = w + x * weight
+    return x * value, DEFECT_SERIES_TOL + 1.01 * _U * x * weight
+
+
+def _direct_defect(d: int) -> tuple[float, float]:
+    """E(d) = sum_{a=0}^{d-1} g(a/d) - d kappa_f and its error bound, in libm.
+
+    g(a/d) = g((d - a)/d), so the sum is log 2 at a = 0 (and at a = d/2 for
+    even d) plus twice the terms 1 <= a < d/2, each log max(1, |x|) of
+    x = ``conjugates_fast``'s formula. math.fsum rounds the float terms and
+    d copies of -kappa_f once. Error bound against the exact sum minus
+    d kappa_f:
+    - log max(1, |x|) is 1-Lipschitz, so a term moves by at most
+      ORBIT_COS_ERROR, and not at all where |x| <= 1 - ORBIT_COS_ERROR;
+    - libm's log is within 1 ulp <= 2 u y of each term y;
+    - the sum rounds once, u |E|.
+    """
+    two_pi, log2 = 2.0 * math.pi, math.log(2.0)
+    terms = [log2, log2] if d % 2 == 0 else [log2]
+    near = 0
+    for a in range(1, (d + 1) // 2):
+        x = abs(2.0 * math.cos(two_pi * a / d))
+        if x > 1.0 - ORBIT_COS_ERROR:
+            near += 1
+            if x > 1.0:
+                terms.append(2.0 * math.log(x))
+    logs = math.fsum(terms)
+    value = math.fsum(terms + [-LOG_PLUS_INTEGRAL] * d)
+    return value, 1.01 * (2 * near * ORBIT_COS_ERROR + 2 * _U * logs + _U * abs(value))
+
+
+@lru_cache(maxsize=None)
+def _orbit_height_defect(d: int) -> tuple[float, float]:
+    """E(d) = sum_{a=0}^{d-1} log max(1, |2 cos(2 pi a/d)|) - d kappa and a
+    bound on its error; below DEFECT_SERIES_FROM, kappa is LOG_PLUS_INTEGRAL
+    itself (its error cancels in ``orbit_generator_heights``)."""
+    return _direct_defect(d) if d < DEFECT_SERIES_FROM else _series_defect(d)
+
+
+def orbit_generator_height(n: int) -> HeightValue:
+    """Height h(alpha_n) of alpha_n = zeta_n + 1/zeta_n; the one-order case of
+    ``orbit_generator_heights``, reading E(d) for the divisors d of n only."""
     return orbit_generator_heights((n,))[0]
 
 
 def orbit_generator_heights(orders) -> list[HeightValue]:
-    """``orbit_generator_height(n)`` for every n in orders, from one blockwise
-    pass over their conjugates (``conjugate_blocks``): each value is the mean
-    of its own contiguous slice, as the one-order call takes it."""
-    import numpy as np
+    """h(alpha_n) for every n in orders, each from O(tau(n)) closed-form terms.
 
+    h(alpha_n) is the Mahler-measure formula of weil_height_algebraic (psi_n
+    is monic): the mean of g(a/n) = log max(1, |2 cos(2 pi a/n)|) over the
+    coprime a <= n/2, or over all coprime a mod n, as g(t) = g(1 - t). By
+    Moebius inversion over the divisors d of n, with kappa the mean of g
+    (LOG_PLUS_INTEGRAL) and E(d) = sum_{a=0}^{d-1} g(a/d) - d kappa,
+
+        h(alpha_n) = kappa + (1/phi(n)) sum_{d | n} mu(n/d) E(d),   n >= 3,
+
+    since sum mu(n/d) d = phi(n); h = log 2 for n <= 2. E(d) comes from a
+    direct libm sum for d < DEFECT_SERIES_FROM and from its Euler-Maclaurin
+    series (``_defect_series``) above, once per d per process, so a value
+    does not depend on the other orders asked for.
+
+    Error bound: the E(d) bounds over phi(n); math.fsum's rounding of the
+    Moebius sum s, u |s| / phi(n); the division and the addition of kappa_f,
+    u each; and kappa_f's own error, which cancels between the direct terms
+    (they subtract kappa_f) and leaves |kappa_f - kappa| |sum_{d >= D0} mu(n/d) d|
+    / phi(n) from the series terms, D0 = DEFECT_SERIES_FROM. The 1% pad covers
+    the rounding of the bound itself.
+
+    Since |E(d)| <= C / d with C = ORBIT_HEIGHT_DEFECT_CONSTANT and m =
+    phi(n)/2, |h(alpha_n) - kappa| m <= (1/2) sum_{d | n} |E(d)|
+    <= (C/2) sigma(n)/n: the equidistribution error of the orbit's logs.
+    """
     out = []
-    for counts, x in conjugate_blocks(orders):
-        y = np.log(np.maximum(np.abs(x), 1.0))
-        start = 0
-        for m in counts:
-            v = float(np.add.reduce(y[start : start + m])) / m  # as .mean() takes it
-            out.append(HeightValue(v, ORBIT_COS_ERROR + 1.01 * (m + 2) * 2.0**-53 * v, "mahler-numeric"))
-            start += m
+    for n in orders:
+        if n <= 2:
+            log2 = math.log(2.0)
+            out.append(HeightValue(log2, 2 * _U * log2, "mahler-numeric"))
+            continue
+        terms, err, phi, series_phi = [], 0.0, 0, 0
+        for d, mu in moebius_divisors(n):
+            e, e_err = _orbit_height_defect(d)
+            terms.append(mu * e)
+            err += e_err
+            phi += mu * d
+            if d >= DEFECT_SERIES_FROM:
+                series_phi += mu * d
+        s = math.fsum(terms)
+        q = s / phi
+        v = LOG_PLUS_INTEGRAL + q
+        bound = 1.01 * (err / phi + _U * abs(s) / phi + _U * abs(q) + _U * abs(v))
+        out.append(HeightValue(v, bound + LOG_PLUS_INTEGRAL_ERROR * abs(series_phi) / phi, "mahler-numeric"))
     return out
 
 

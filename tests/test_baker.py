@@ -217,3 +217,19 @@ def test_convergent_scan_finds_the_roots_of_beta_once(monkeypatch):
     scan = convergent_scan(beta, 10000, 0.1)
     assert len(scan.records) > 5
     assert len(calls) <= 1
+
+
+def test_proximity_check_reads_each_orders_residues_once(monkeypatch):
+    # arch_proximity and the real-beta sandwich both take their conjugates
+    # from the residues preperiodic_orbit(n) holds, so no order sieves twice
+    from chebdyn import chebyshev
+
+    calls = []
+    sieve = chebyshev.coprime_residues_half
+    monkeypatch.setattr(chebyshev, "coprime_residues_half", lambda n: calls.append(n) or sieve(n))
+    for beta in (Fraction(7, 3), algebraic_number([7, 3, 7], 0), algebraic_number([1, -5, 1], 1)):
+        chebyshev.preperiodic_orbit.cache_clear()
+        calls.clear()
+        pc = proximity_bound_check(beta, 400, eps=0.1)
+        assert len(calls) <= 400 and len(set(calls)) == len(calls), beta
+    assert pc.sandwich_ok is True  # the sandwich did run on the real beta outside [-2, 2]

@@ -21,13 +21,11 @@ from chebdyn import (
     proximity_bound_check,
     resultant,
 )
-from chebdyn import chebyshev
+from chebdyn import chebyshev, heights
 from chebdyn.chebyshev import (
     ORBIT_COS_ERROR,
     ChebMap,
-    conjugate_blocks,
     conjugates_fast,
-    coprime_residue_array,
     coprime_residues_half,
     distinct_primes,
     halved_minpoly,
@@ -194,23 +192,11 @@ def test_coprime_sieve_matches_gcd_filter():
     for n in range(1, 4001):
         want = [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1] if n > 2 else [1]
         assert coprime_residues_half(n) == want, n
-        assert coprime_residue_array(n).tolist() == want, n
         if n > 2:
             b = np.arange(1, n // 2 + 1)
             b = b[np.gcd(b, n) == 1]
             assert conjugates_fast(n) == (2.0 * np.cos(2.0 * np.pi * b / n)).tolist(), n
     assert conjugates_fast(1) == [2.0] and conjugates_fast(2) == [-2.0]
-
-
-def test_per_orbit_conjugates_equal_the_blocks_bit_for_bit():
-    # the libm list of each orbit against numpy's blockwise cos, for every
-    # n <= 3000: the one-order and the whole-sweep kernels read one value
-    orders = range(1, 3001)
-    blocks = list(conjugate_blocks(orders))
-    assert len(blocks) > 1  # the sweep crosses block boundaries
-    got = [x for n in orders for x in conjugates_fast(n)]
-    assert all(type(x) is float for x in got)
-    assert got == [x for _, block in blocks for x in block.tolist()]
 
 
 def test_orbit_generator_height_within_its_bound():
@@ -228,6 +214,31 @@ def test_orbit_generator_height_within_its_bound():
         assert err <= h.error_bound, (n, err, h.error_bound)
         worst = max(worst, err / h.error_bound)
     assert worst > 0.0  # the oracle does resolve the float error
+
+
+def test_orbit_height_defects_within_their_bounds():
+    # E(d) = sum_{a<d} log max(1, |2 cos(2 pi a/d)|) - d kappa against the
+    # 200-bit conjugates, logs of exact products of 16 taken at 128 bits;
+    # below DEFECT_SERIES_FROM the kernel subtracts kappa_f itself
+    bits = 200
+    rng = random.Random(26)
+    worst = {}
+    with mp.workprec(128):
+        third = mp.mpf(1) / 3
+        kappa = 3 * mp.sqrt(3) * (mp.zeta(2, third) - mp.zeta(2, 2 * third)) / (36 * mp.pi)
+        for d in [*range(1, 401), *rng.sample(range(401, 5001), 40)]:
+            e, err = heights._orbit_height_defect(d)
+            xs = _scaled_cosines(d, bits)
+            big = [abs(xs[a]) for a in range(1, (d + 1) // 2) if abs(xs[a]) >> bits]
+            total = 2 * mp.fsum(mp.log(math.prod(big[i : i + 16])) for i in range(0, len(big), 16))
+            total -= 2 * len(big) * bits * mp.ln2
+            total += mp.ln2 * (2 if d % 2 == 0 else 1)  # a = 0 and a = d/2
+            k = mp.mpf(heights.LOG_PLUS_INTEGRAL) if d < heights.DEFECT_SERIES_FROM else kappa
+            gap = float(abs(e - (total - d * k)))
+            assert gap <= err, (d, gap, err)
+            key = d < heights.DEFECT_SERIES_FROM
+            worst[key] = max(worst.get(key, 0.0), gap / err)
+    assert 0.0 < worst[True] < 0.5 and 0.0 < worst[False] < 0.5  # the oracle resolves both kernels
 
 
 def test_orbit_expands_psi_n_only_when_read():

@@ -304,7 +304,7 @@ def _heavy_modules(argv):
 
 def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
     # the records are built without dataclasses, so no exact op loads it or
-    # inspect; numpy itself loads inspect, so the numpy ops assert less
+    # inspect; the ops that need mpmath assert less
     exact = [
         ["scan", "--beta", "3", "--S", "inf,2,3,5,11", "--Nmax", "12"],
         ["theorem2", "--S", "inf,2,3", "--trials", "4", "--Nmax", "60", "--seed", "3", "--Dcap", "1"],
@@ -321,16 +321,15 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         # finite-place rows come from the exact sieve and the slope is an
         # integer least-squares fit
         ["equidist", "--beta", "7/3", "--place", "3", "--Nmax", "50"],
+        # real-place rows read each h(alpha_N) from a Moebius sum of closed
+        # forms and kappa is a constant, so no conjugate pass or quadrature
+        ["equidist", "--beta", "7/3", "--place", "inf", "--Nmax", "50"],
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
-    # the real place reads each h(alpha_N) from numpy conjugates; kappa is a
-    # closed-form constant, so no quadrature loads mpmath
-    argv = ["equidist", "--beta", "7/3", "--place", "inf", "--Nmax", "50"]
-    after_import, code, loaded = _heavy_modules(argv)
-    assert after_import == [] and code == 0 and "mpmath" not in loaded, argv
-    # baker reads the angle of beta through mpmath, and its grid maximum and
-    # orbit conjugates through libm, so no baker op loads numpy
+    # numpy now loads only in ``orbit``, for its psi_N residual and mod-p
+    # checks. baker reads the angle of beta through mpmath, and its grid
+    # maximum and orbit conjugates through libm, so no baker op loads numpy
     for argv in (
         ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
         ["baker", "--beta", "poly:7,3,7@0", "--eps", "0.1", "--Nmax", "200", "--prox-Nmax", "60"],

@@ -19,9 +19,9 @@ from chebdyn import (
     weil_height_algebraic,
     weil_height_rational,
 )
-from chebdyn import chebyshev
 from chebdyn.algebraic import AlgebraicNumber
-from chebdyn.chebyshev import ORBIT_COS_ERROR, conjugate_blocks, conjugates_fast
+from chebdyn import heights
+from chebdyn.chebyshev import ORBIT_COS_ERROR, orbit_size
 from chebdyn.heights import HeightValue, orbit_generator_heights
 from chebdyn.intpoly import IntPoly
 from chebdyn.numerics import ApproxComplex
@@ -154,28 +154,116 @@ def _per_order_height(n):
     return HeightValue(v, ORBIT_COS_ERROR + 1.01 * (x.size + 2) * 2.0**-53 * v, "mahler-numeric")
 
 
-def test_orbit_generator_heights_equal_the_per_order_formula_bit_for_bit():
+def test_orbit_generator_heights_within_both_bounds_of_the_numpy_formula():
+    # the numpy conjugate mean that the Moebius sum replaced, as its oracle
+    orders = range(1, 3001)
+    for n, h in zip(orders, orbit_generator_heights(orders)):
+        old = _per_order_height(n)
+        assert abs(h.value - old.value) <= h.error_bound + old.error_bound, n
+    for n in (1, 2):
+        assert orbit_generator_height(n).value == _per_order_height(n).value == math.log(2)
+
+
+def test_bulk_heights_equal_single_order_heights_bit_for_bit():
     # HeightValue equality is field-for-field ==, so every float must match
-    # exactly, not merely within its error bound
+    # exactly; each list starts from an empty E(d) cache, so no value depends
+    # on which orders were asked for before it or with it
+    def fresh(orders):
+        heights._orbit_height_defect.cache_clear()
+        return heights.orbit_generator_heights(orders)
+
     everything = range(1, 3001)
-    assert len(list(conjugate_blocks(everything))) > 1  # the sweep crosses block boundaries
-    assert orbit_generator_heights(everything) == [_per_order_height(n) for n in everything]
+    singles = {n: fresh((n,))[0] for n in [*everything, *range(3001, 4000)]}
+    assert fresh(everything) == [singles[n] for n in everything]
     primes = [n for n in range(2, 4000) if is_prime(n)]
-    for orders in (primes, range(37, 4000), [3001, 1, 7, 2, 7]):  # gaps, repeats, any order
-        assert orbit_generator_heights(orders) == [_per_order_height(n) for n in orders]
+    for orders in (primes, range(37, 4000), [3001, 1, 7, 2, 7], [3989, 210, 3, 2, 1]):  # gaps, repeats, any order
+        assert fresh(orders) == [singles[n] for n in orders]
     for n in (1, 2, 3, 210, 3989):
-        assert orbit_generator_height(n) == _per_order_height(n)
+        assert orbit_generator_height(n) == singles[n]
 
 
-def test_conjugate_blocks_split_at_the_block_size(monkeypatch):
-    monkeypatch.setattr(chebyshev, "CONJUGATE_BLOCK", 100)
-    orders = [1, 2, 12, 1009, 30, 31, 5, 97]
-    blocks = list(conjugate_blocks(orders))
-    counts = [m for c, _ in blocks for m in c]
-    assert counts == [1 if n <= 2 else len([a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]) for n in orders]
-    # 1009 (504 conjugates) comes alone; every other block stays within 100
-    assert [x.size for _, x in blocks] == [sum(c) for c, _ in blocks]
-    assert all(x.size <= 100 or len(c) == 1 for c, x in blocks)
-    assert [c for c, _ in blocks] == [[1, 1, 2], [504], [4, 15, 2, 48]]
-    want = [x for n in orders for x in conjugates_fast(n)]
-    assert np.concatenate([x for _, x in blocks]).tolist() == want
+def _tan_derivative_at_pi_over_3(n):
+    """tan^(n)(pi/3) = P_n(sqrt(3)) with P_0 = T, P_{n+1} = (1 + T^2) P_n'."""
+    poly = [0, 1]  # coefficients, lowest first
+    for _ in range(n):
+        deriv = [k * c for k, c in enumerate(poly)][1:]
+        poly = [a + b for a, b in zip(deriv + [0, 0], [0, 0] + deriv)]
+    return mp.fsum(c * mp.sqrt(3) ** i for i, c in enumerate(poly))
+
+
+def _exact_series_coefficient(j, r):
+    """e_{j,r} of ``heights._defect_series`` at 120 bits, from Fraction
+    Bernoulli polynomials and the polynomials P_n."""
+    bern = [Fraction(1)]
+    for m in range(1, j + 1):
+        bern.append(-sum(math.comb(m + 1, i) * bern[i] for i in range(m)) / (m + 1))
+
+    def bernoulli_poly(x):
+        return sum(math.comb(j, i) * bern[i] * x ** (j - i) for i in range(j + 1))
+
+    c = Fraction(0) if r % 2 == 0 else Fraction(1, 2)
+    pair = bernoulli_poly(Fraction(r, 6)) + bernoulli_poly((Fraction(r, 6) + c) % 1)
+    with mp.workprec(120):
+        deriv_f = -((2 * mp.pi) ** (j - 1)) * _tan_derivative_at_pi_over_3(j - 2)  # f^(j-1)(1/6)
+        return 2 * (-1) ** j / mp.factorial(j) * deriv_f * mp.mpf(pair.numerator) / pair.denominator
+
+
+def test_defect_series_coefficients_regenerate_exactly():
+    # the integer tables built on first call, against a Fraction and mpmath
+    # rebuild: each float within its stated (2 j + 2) u
+    coefficients, weights, thresholds = heights._defect_series()
+    assert thresholds[-1] <= heights.DEFECT_SERIES_FROM < thresholds[-2]
+    assert thresholds[2:] == sorted(thresholds[2:], reverse=True)
+    assert len(thresholds) - 1 == 26  # the order the series needs at d = 100
+    for j in range(2, len(thresholds)):
+        for r in range(6):
+            want = _exact_series_coefficient(j, r)
+            got = coefficients[r][j - 2]
+            assert abs(got - want) <= (2 * j + 2) * 2.0**-53 * abs(want), (j, r)
+            assert weights[r][j - 2] == (5 * j + 1) * abs(got)
+    with mp.workprec(120):
+        assert abs(coefficients[0][0] - float(-2 * mp.pi / mp.sqrt(3))) <= 2.0**-50
+
+
+def test_defect_series_meets_the_direct_sums():
+    # E(d) for d in [D0, 2 D0] both ways: the direct sum subtracts kappa_f,
+    # the series the true kappa, so they may also differ by d |kappa_f - kappa|
+    d0 = heights.DEFECT_SERIES_FROM
+    worst = 0.0
+    for d in range(d0, 2 * d0 + 1):
+        direct, direct_err = heights._direct_defect(d)
+        series, series_err = heights._series_defect(d)
+        gap = abs(direct - series)
+        assert gap <= direct_err + series_err + d * heights.LOG_PLUS_INTEGRAL_ERROR, d
+        worst = max(worst, gap)
+    assert worst < 2e-14  # far inside the direct sums' worst-case bound, 1.5e-13 to 3e-13
+
+
+def test_orbit_height_defect_constant_bounds_the_equidistribution_error():
+    """|h(alpha_N) - kappa| m <= (C/2) sigma(N)/N for every 3 <= N <= 6000,
+    with C = ORBIT_HEIGHT_DEFECT_CONSTANT, and C bounds d |E(d)| for all d:
+    from the certified E(d) below 10^4, and above it from the series of
+    order J with its remainder, which only falls as d grows."""
+    c_bound = heights.ORBIT_HEIGHT_DEFECT_CONSTANT
+    kappa_err = heights.LOG_PLUS_INTEGRAL_ERROR
+    for d in range(1, 10**4):
+        e, err = heights._orbit_height_defect(d)  # below D0 against kappa_f
+        assert d * (abs(e) + err + d * kappa_err) <= c_bound, d
+    top, j_top = 10**4, 7
+    with mp.workprec(120):
+        rem = 4 * mp.zeta(j_top) / mp.pi * _tan_derivative_at_pi_over_3(j_top - 2)
+        for r in range(6):
+            tail = mp.fsum(abs(_exact_series_coefficient(j, r)) * mp.mpf(top) ** (2 - j) for j in range(2, j_top + 1))
+            assert tail + rem * mp.mpf(top) ** (2 - j_top) <= c_bound, r
+    kappa = heights.LOG_PLUS_INTEGRAL
+    sigma = [0] * 6001
+    for d in range(1, 6001):
+        sigma[d::d] = [s + d for s in sigma[d::d]]
+    orders = range(3, 6001)
+    worst = 0.0
+    for n, h in zip(orders, orbit_generator_heights(orders)):
+        m = orbit_size(n)
+        lhs = (abs(h.value - kappa) + h.error_bound + kappa_err) * m
+        assert lhs <= c_bound / 2 * sigma[n] / n, n
+        worst = max(worst, lhs / (sigma[n] / n))
+    assert worst < 0.25  # the constant is far from tight on these orders
