@@ -357,7 +357,7 @@ def proximity_bound_check(
         records.append(ProximityRecord(n, orbit.size, prox, bound, prox < bound))
         if sandwich_ok is not None:
             lo, hi = abs(b_num.real) - 2, abs(b_num.real) + 2
-            gaps = [abs(x - b_num) for x in conjugates_fast(n, orbit.a_values)]
+            gaps = [abs(x - b_num) for x in conjugates_fast(n)]
             if min(gaps) < lo - 1e-9 or max(gaps) > hi + 1e-9:
                 sandwich_ok = False
     return ProximityCheck(

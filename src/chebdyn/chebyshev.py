@@ -244,14 +244,14 @@ def halved_minpoly(n: int) -> IntPoly:
 ORBIT_COS_ERROR = 2.2e-15
 
 
-def conjugates_fast(n: int, residues=None) -> list[float]:
+def conjugates_fast(n: int) -> list[float]:
     """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, as
-    floats: each within ORBIT_COS_ERROR, and exact for n <= 2. A caller that
-    holds those a (``PreperiodicOrbit.a_values``) passes them as residues."""
+    floats: each within ORBIT_COS_ERROR, and exact for n <= 2. The a are
+    ``preperiodic_orbit(n).a_values``, so an order is sieved once per process."""
     if n <= 2:
         return [2.0 if n == 1 else -2.0]
     two_pi = 2.0 * math.pi
-    return [2.0 * math.cos(two_pi * a / n) for a in residues or coprime_residues_half(n)]
+    return [2.0 * math.cos(two_pi * a / n) for a in preperiodic_orbit(n).a_values]
 
 
 @record
@@ -282,7 +282,7 @@ class PreperiodicOrbit:
     @property
     def conjugates(self) -> tuple[ApproxReal, ...]:
         bound = self.conjugate_error_bound
-        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order, self.a_values))
+        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order))
 
     def conjugate_mp(self, i: int, prec: int = 64):
         """High-precision conjugate value (mpf) for escalation paths."""

@@ -154,7 +154,7 @@ def cmd_orbit(args):
     n = args.N
     orbit = preperiodic_orbit(n)
     residual = float(minpoly_conjugate_residuals(n).max())
-    conjugates = conjugates_fast(n, orbit.a_values)
+    conjugates = conjugates_fast(n)
     checks = [
         make_check("minpoly-monic", orbit.minpoly.is_monic, orbit.minpoly.coeffs[-1], 1),
         make_check("degree-equals-orbit-size", orbit.minpoly.degree == orbit.size, orbit.minpoly.degree, orbit.size),

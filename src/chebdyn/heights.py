@@ -91,12 +91,6 @@ DEFECT_SERIES_FROM = 100
 #: the series stops at the first order whose remainder bound is below this
 DEFECT_SERIES_TOL = 1e-19
 
-#: C >= d |E(d)| for every d >= 1 (``orbit_generator_heights``): the
-#: leading series term is -(2 pi / sqrt(3)) / d = -3.62760 / d at d = 0 mod 6.
-#: The test suite proves it from the certified E(d) for d < 10^4 (at most
-#: 3.627599) and the order-7 series with its remainder above (3.627599)
-ORBIT_HEIGHT_DEFECT_CONSTANT = 3.628
-
 _U = 2.0**-53  # float64 unit roundoff
 
 
@@ -203,26 +197,36 @@ def _direct_defect(d: int) -> tuple[float, float]:
 
     g(a/d) = g((d - a)/d), so the sum is log 2 at a = 0 (and at a = d/2 for
     even d) plus twice the terms 1 <= a < d/2, each log max(1, |x|) of
-    x = ``conjugates_fast``'s formula. math.fsum rounds the float terms and
-    d copies of -kappa_f once. Error bound against the exact sum minus
-    d kappa_f:
-    - log max(1, |x|) is 1-Lipschitz, so a term moves by at most
-      ORBIT_COS_ERROR, and not at all where |x| <= 1 - ORBIT_COS_ERROR;
+    x = 2 cos(t), t = fl(2 pi a / d), ``conjugates_fast``'s formula.
+    math.fsum rounds the float terms and d copies of -kappa_f once. Error
+    bound against the exact sum minus d kappa_f, term by term:
+    - t is off by at most 2.5000001 u t (ORBIT_COS_ERROR's derivation), and
+      moves 2 cos by 2 |sin| times that, with |sin t| <= sqrt(1 - c^2) + 1e-7
+      for c = fl(cos t) (c is within 2u of cos t) and the 1e-7 also covering
+      |sin| over the interval; libm's cos is within 1 ulp <= 2 u |c|; so x is
+      off by at most delta = (5.0000002 t (sqrt(1 - c^2) + 1e-7) + 4 |c|) u,
+      which never exceeds ORBIT_COS_ERROR;
+    - log max(1, |x|) moves by at most delta / max(1, |x| - delta), and not
+      at all where |x| <= 1 - delta;
     - libm's log is within 1 ulp <= 2 u y of each term y;
     - the sum rounds once, u |E|.
+    The 1% pad covers the rounding of the bound itself.
     """
     two_pi, log2 = 2.0 * math.pi, math.log(2.0)
     terms = [log2, log2] if d % 2 == 0 else [log2]
-    near = 0
+    moved = 0.0
     for a in range(1, (d + 1) // 2):
-        x = abs(2.0 * math.cos(two_pi * a / d))
-        if x > 1.0 - ORBIT_COS_ERROR:
-            near += 1
+        t = two_pi * a / d
+        c = math.cos(t)
+        x = abs(2.0 * c)
+        delta = (5.0000002 * t * (math.sqrt(1.0 - c * c) + 1e-7) + 4.0 * abs(c)) * _U
+        if x > 1.0 - delta:
+            moved += 2.0 * delta / max(1.0, x - delta)
             if x > 1.0:
                 terms.append(2.0 * math.log(x))
     logs = math.fsum(terms)
     value = math.fsum(terms + [-LOG_PLUS_INTEGRAL] * d)
-    return value, 1.01 * (2 * near * ORBIT_COS_ERROR + 2 * _U * logs + _U * abs(value))
+    return value, 1.01 * (moved + 2 * _U * logs + _U * abs(value))
 
 
 @lru_cache(maxsize=None)
@@ -260,11 +264,18 @@ def orbit_generator_heights(orders) -> list[HeightValue]:
     u each; and kappa_f's own error, which cancels between the direct terms
     (they subtract kappa_f) and leaves |kappa_f - kappa| |sum_{d >= D0} mu(n/d) d|
     / phi(n) from the series terms, D0 = DEFECT_SERIES_FROM. The 1% pad covers
-    the rounding of the bound itself.
+    the rounding of the bound itself. The direct E(d) bounds add up over
+    sum_{d | n, d < D0} d / phi(n) times as many terms as the orbit has, so
+    an order with many small divisors can get a looser bound than the mean
+    over its own conjugates with ORBIT_COS_ERROR each would give: 15 orders
+    n <= 6000 do, by at most 1.78x (n = 6: 3.9e-15 against 2.2e-15).
 
-    Since |E(d)| <= C / d with C = ORBIT_HEIGHT_DEFECT_CONSTANT and m =
-    phi(n)/2, |h(alpha_n) - kappa| m <= (1/2) sum_{d | n} |E(d)|
-    <= (C/2) sigma(n)/n: the equidistribution error of the orbit's logs.
+    Since |E(d)| <= C / d for every d >= 1 with C = 3.628 and m = phi(n)/2,
+    |h(alpha_n) - kappa| m <= (1/2) sum_{d | n} |E(d)| <= (C/2) sigma(n)/n:
+    the equidistribution error of the orbit's logs. The leading series term
+    is -(2 pi / sqrt(3)) / d = -3.62760 / d at d = 0 mod 6; the test suite
+    proves C from the certified E(d) for d < 10^4 (at most 3.627599) and the
+    order-7 series with its remainder above (3.627599).
     """
     out = []
     for n in orders:

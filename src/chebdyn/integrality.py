@@ -580,7 +580,7 @@ def arch_proximity(orbit: PreperiodicOrbit, beta) -> float:
     else:
         beta = Fraction(beta)
         b, berr = complex(beta), abs(float(beta)) * 2e-16
-    gaps = [abs(x - b) for x in conjugates_fast(orbit.order, orbit.a_values)]
+    gaps = [abs(x - b) for x in conjugates_fast(orbit.order)]
     gap = min(gaps)
     if gap > 1e-6 + 8 * berr:
         return -math.log(gap)

@@ -26,6 +26,10 @@ from chebdyn.heights import HeightValue, orbit_generator_heights
 from chebdyn.intpoly import IntPoly
 from chebdyn.numerics import ApproxComplex
 
+#: C >= d |E(d)| for every d >= 1, the constant ``orbit_generator_heights``
+#: states; its leading series term is -(2 pi / sqrt(3)) / d = -3.62760 / d
+ORBIT_HEIGHT_DEFECT_CONSTANT = 3.628
+
 
 def test_weil_rational_examples():
     assert abs(weil_height_rational(3).value - math.log(3)) < 1e-15
@@ -236,7 +240,7 @@ def test_defect_series_meets_the_direct_sums():
         gap = abs(direct - series)
         assert gap <= direct_err + series_err + d * heights.LOG_PLUS_INTEGRAL_ERROR, d
         worst = max(worst, gap)
-    assert worst < 2e-14  # far inside the direct sums' worst-case bound, 1.5e-13 to 3e-13
+    assert worst < 2e-14  # inside the direct sums' worst-case bounds, 4e-14 to 8.4e-14
 
 
 def test_orbit_height_defect_constant_bounds_the_equidistribution_error():
@@ -244,7 +248,7 @@ def test_orbit_height_defect_constant_bounds_the_equidistribution_error():
     with C = ORBIT_HEIGHT_DEFECT_CONSTANT, and C bounds d |E(d)| for all d:
     from the certified E(d) below 10^4, and above it from the series of
     order J with its remainder, which only falls as d grows."""
-    c_bound = heights.ORBIT_HEIGHT_DEFECT_CONSTANT
+    c_bound = ORBIT_HEIGHT_DEFECT_CONSTANT
     kappa_err = heights.LOG_PLUS_INTEGRAL_ERROR
     for d in range(1, 10**4):
         e, err = heights._orbit_height_defect(d)  # below D0 against kappa_f
