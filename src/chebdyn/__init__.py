@@ -56,7 +56,6 @@ from .factorint import euler_phi, factor_counts, factorize, is_prime, padic_valu
 from .heights import (
     HeightValue,
     canonical_height,
-    canonical_height_closed_form,
     dobrowolski_floor,
     orbit_generator_height,
     sample_betas,

@@ -34,6 +34,8 @@ from .records import record
 
 _SPF_LIMIT = 1 << 14
 _SPF: list[int] | None = None
+#: orders whose Moebius divisor lists stay cached (most recently used)
+MOEBIUS_CACHE_SIZE = 1 << 13
 
 
 def _spf_table(limit: int) -> list[int]:
@@ -63,12 +65,16 @@ def distinct_primes(n: int) -> list[int]:
     return out
 
 
-def moebius_divisors(n: int) -> list[tuple[int, int]]:
-    """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0."""
+@lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
+def moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0.
+
+    Cached: a real-place sweep walks every order twice, in ``PairingSieve``
+    and in ``heights.orbit_generator_heights``."""
     terms = [(n, 1)]
     for p in distinct_primes(n):
         terms += [(d // p, -mu) for d, mu in terms]
-    return terms
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +167,6 @@ class ChebMap:
 
     def __call__(self, z):
         return cheb_eval(self.degree, z)
-
-    def lower_coeff_sum(self) -> int:
-        """sum |c_j| over the non-leading coefficients of T_d."""
-        return sum(abs(c) for c in self.poly.coeffs[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -541,7 +541,7 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_height)
 
-    p = sub.add_parser("canonical-height", help="canonical height by iteration, with the h vs h_phi gap")
+    p = sub.add_parser("canonical-height", help="canonical height in closed form (local heights), with the h vs h_phi gap")
     p.add_argument("--beta", required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--tol", type=finite_float, default=1e-9)

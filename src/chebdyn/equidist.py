@@ -11,7 +11,6 @@ this convention.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from fractions import Fraction
@@ -25,6 +24,8 @@ from .heights import (
     LOG_PLUS_INTEGRAL,
     HeightValue,
     canonical_height,
+    green_function,
+    log_plus,
     orbit_generator_height,
     orbit_generator_heights,
     weil_height_rational,
@@ -45,22 +46,12 @@ FINITE_PLACE_INTEGRAL = 0.0
 
 
 def equilibrium_potential(beta) -> float:
-    """The logarithmic potential int log|x - beta| dmu(x), in closed form.
-
-    Writing beta = w + 1/w with |w| >= 1 the value is log|w|; it vanishes
-    exactly on the support [-2, 2]. Validated against adaptive quadrature
-    of the defining integral in the test suite.
+    """The logarithmic potential int log|x - beta| dmu(x): the Green's
+    function g(beta) of [-2, 2] (``heights.green_function``, which derives
+    its error bound). Validated against adaptive quadrature of the defining
+    integral in the test suite.
     """
-    if isinstance(beta, AlgebraicNumber):
-        beta = complex(beta.embedding.value)
-    z = complex(beta)
-    if z.imag == 0 and -2.0 <= z.real <= 2.0:
-        return 0.0
-    disc = cmath.sqrt(z * z - 4)
-    w = (z + disc) / 2
-    if abs(w) < 1:
-        w = (z - disc) / 2
-    return math.log(abs(w))
+    return green_function(beta).value
 
 
 def quadrature_potential(beta, prec_digits: int = 25) -> float:
@@ -98,18 +89,15 @@ def log_plus_integral() -> float:
 def lambda_integral(beta, place: Place = ARCH) -> float:
     """int lambda_{x,v}(beta) dmu_v(x) for the canonical measure at v.
 
-    At the real place this assembles to log+|beta| + kappa - potential(beta);
-    at finite places the canonical measure sits at the integral points and
-    the integral vanishes by good reduction.
+    At the real place this assembles to log+|beta| + kappa - g(beta), both
+    logs read from the integers of a rational beta (``heights.log_plus``,
+    ``heights.green_function``), so no size of beta overflows a float; at
+    finite places the canonical measure sits at the integral points and the
+    integral vanishes by good reduction.
     """
     if not place.is_archimedean:
         return FINITE_PLACE_INTEGRAL
-    if isinstance(beta, AlgebraicNumber):
-        b = complex(beta.embedding.value)
-    else:
-        b = complex(Fraction(beta)) if isinstance(beta, (int, Fraction)) else complex(beta)
-    log_plus = math.log(abs(b)) if abs(b) > 1 else 0.0
-    return log_plus + log_plus_integral() - equilibrium_potential(b)
+    return log_plus(beta) + log_plus_integral() - green_function(beta).value
 
 
 # ---------------------------------------------------------------------------

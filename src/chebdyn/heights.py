@@ -1,12 +1,15 @@
 """Weil heights, the dynamical canonical height for Chebyshev maps, and the
 Dobrowolski-type height floor.
 
-The canonical height is computed the way it is defined: iterate the map and
-watch h(T_d^k(x)) / d^k. Exact rational arithmetic is used while numerator
-and denominator sizes permit (4096 bits); after that only certified
-log-magnitudes are tracked, which is all the limit depends on. The closed
-form log((|x| + sqrt(x^2-4))/2) is deliberately NOT used here so it can
-serve as an independent oracle in the tests.
+The canonical height is a sum of local heights (Call & Silverman, Compositio
+Math. 89, 1993): every T_d has good reduction at every prime, where the local
+height is log max(1, |x|_p), and at the real place it is the Green's function
+g(z) = log|w| of the Julia set [-2, 2], z = w + 1/w with |w| >= 1 (Baker &
+Rumely, 2010). ``green_function`` is the one kernel for g, with an error
+bound derived in its docstring; a rational near +-2 or past float range is
+read from its integers, so nothing cancels or overflows, and an algebraic
+embedding adds the spread of g over its certified disc. The equilibrium
+potential and the real-place lambda integral (``equidist``) read it too.
 
 The height of the order-N preperiodic point is read in closed form, not
 summed over its phi(N)/2 conjugates: a Moebius sum over the divisors d of N
@@ -23,13 +26,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, algebraic_number
-from .chebyshev import ORBIT_COS_ERROR, ChebMap, cheb_eval, is_preperiodic_rational, moebius_divisors
+from .chebyshev import ChebMap, is_preperiodic_rational, moebius_divisors
 from .errors import ChebdynError, DomainError, PrecisionError
-from .numerics import precision_ladder
+from .numerics import ApproxComplex
 from .records import record
 from .roots import complex_roots
 
-EXACT_BIT_CAP = 4096
 DEGREE_CAP = 16
 DEFAULT_DOBROWOLSKI_C = 0.25
 
@@ -37,7 +39,7 @@ DEFAULT_DOBROWOLSKI_C = 0.25
 class HeightValue:
     value: float
     error_bound: float
-    method: str  # "exact-rational", "mahler-numeric" or "iteration-limit"
+    method: str  # "exact-rational", "mahler-numeric" or "closed-form"
 
     def __float__(self) -> float:
         return self.value
@@ -312,193 +314,186 @@ def dobrowolski_floor(degree: int, c: float = DEFAULT_DOBROWOLSKI_C) -> float:
 # canonical height
 # ---------------------------------------------------------------------------
 
-
-def _escape_threshold(cheb: ChebMap) -> float:
-    return max(4.0, math.sqrt(2.0 * cheb.lower_coeff_sum()) + 1.0)
-
-
-def _scale(d: int, k: int) -> float:
-    logscale = k * math.log(d)
-    return math.exp(-logscale) if logscale < 700 else 0.0
-
-
-def _drift_bound(cheb: ChebMap, log_abs: float) -> float:
-    """|log|T_d(x)| - d log|x|| <= -log(1 - S_d/x^2) for |x| above threshold."""
-    u = cheb.lower_coeff_sum() * math.exp(-2 * log_abs) if log_abs < 350 else 0.0
-    return -math.log1p(-u)
+#: a rational reads |x| - 2 from its integers below 2^-NEAR_TWO_BITS, where
+#: x * x - 4 would cancel more than about 8 bits
+NEAR_TWO_BITS = 8
+#: a numerator longer than its denominator by more bits than this has
+#: g(x) = log|x| to within 4 / x^2
+GREEN_LOG_BITS = 60
+_LN2 = math.log(2.0)
 
 
-def _limit_estimate(cheb: ChebMap, lo: float, hi: float, k: int):
-    """(value, error) for lim_j log|x_j|/d^j from log|x_k| in [lo, hi], with
-    |x_k| above the escape threshold. One-shot: callers iterate further when
-    the error is still too large (both terms shrink with k)."""
-    d = cheb.degree
-    scale = _scale(d, k)
-    tail = _drift_bound(cheb, lo) * scale / (d - 1)
-    width = 0.5 * (hi - lo) * scale
-    return 0.5 * (lo + hi) * scale, width + tail + 1e-15
+def _log_ratio(a: int, b: int) -> float:
+    """log(a / b) for integers a >= b >= 1, within 4 u (1 + log(a / b)): the
+    correctly rounded a / b, or past float range a / (b 2^k) in (1/2, 2)
+    plus k log 2, each log within 1 ulp (2 u)."""
+    k = a.bit_length() - b.bit_length()
+    if k < 1000:
+        return math.log(a / b)
+    return math.log(a / (b << k)) + k * _LN2
 
 
-def _escape_limit(cheb: ChebMap, disc_at, k0: int, tol: float):
-    """Certified limit term for a point given as a disc factory.
+def _sqrt_ratio(n: int, d: int) -> float:
+    """sqrt(n / d) for positive integers, within 1.5 u: the quotient is
+    scaled into [1/4, 4] by an even power of two, so nothing over- or
+    underflows above the subnormal range."""
+    k = (d.bit_length() - n.bit_length()) // 2
+    if k >= 0:
+        return math.ldexp(math.sqrt((n << 2 * k) / d), -k)
+    return math.ldexp(math.sqrt(n / (d << -2 * k)), -k)
 
-    ``disc_at(prec)`` returns (mpc center, float radius) describing the
-    step-k0 point at working precision ``prec``. The disc is iterated
-    forward until it certifiably clears the escape threshold AND the
-    limit-estimate error (interval width plus drift tail, both decaying
-    with the step count) drops under tol. Raises PrecisionError at the
-    ceiling.
+
+def _green_from_rho(rho: float) -> float:
+    """arccosh(1 + rho^2) = log1p(rho (rho + sqrt(rho^2 + 2))). A relative
+    error k u in rho costs (2 k + 6) u g: 2 k + 1 in rho^2, 2 k + 2 with 2
+    added, k + 2 in the sqrt, k + 3 in the sum, 2 k + 4 in the product;
+    log1p's condition number is at most 1 and libm rounds within 2 u."""
+    return math.log1p(rho * (rho + math.sqrt(rho * rho + 2.0)))
+
+
+def _green_rational(x: Fraction) -> HeightValue:
+    a, q = abs(x.numerator), x.denominator
+    excess = a - 2 * q  # q (|x| - 2)
+    if excess <= 0:
+        return HeightValue(0.0, 0.0, "closed-form")
+    if excess << NEAR_TWO_BITS < q:
+        g = _green_from_rho(_sqrt_ratio(excess, 2 * q))
+        return HeightValue(g, 1.01 * 9 * _U * g + 2.0**-1060, "closed-form")
+    if a.bit_length() - q.bit_length() <= GREEN_LOG_BITS:
+        big = a / q
+        disc = big * big - 4.0
+        g = math.log((big + math.sqrt(disc)) / 2.0)
+        return HeightValue(g, 1.01 * _U * (1.5 * big * big / disc + 2.5 + 2.0 * g), "closed-form")
+    log_abs = _log_ratio(a, q)
+    return HeightValue(log_abs, 4.04 * _U * (1.0 + log_abs) + 2.0**-118, "closed-form")
+
+
+def _green_disc(z: ApproxComplex) -> HeightValue:
+    c, r = z.value, z.error_bound
+    x, y = abs(c.real), abs(c.imag)
+    if y <= r and x + r <= 2.0:
+        return HeightValue(0.0, 0.0, "closed-form")
+    e, s = x - 2.0, x + 2.0
+    d1, d2 = math.hypot(e, y), math.hypot(s, y)
+    if e >= 0.0:
+        rho = 0.5 * math.sqrt(d1 + (e * (x + 6.0) + y * y) / (d2 + 4.0))
+    else:
+        rho = 0.5 * y * math.sqrt(1.0 / (d1 - e) + (1.0 - e / (d2 + s)) / (d2 + 4.0))
+    g = _green_from_rho(rho)
+    bound = 23 * _U * g
+    if r > 0.0:
+        low = rho * rho * (1.0 - 20 * _U) - 0.5 * r
+        bound += min(math.sqrt(r), 0.5 * r / math.sqrt(low * (low + 2.0)) if low > 0.0 else math.inf)
+    return HeightValue(g, 1.01 * bound + 2.0**-1060, "closed-form")
+
+
+def green_function(x) -> HeightValue:
+    """The real-place local height g(x) = log|w|, x = w + 1/w with |w| >= 1:
+    the Green's function of [-2, 2] (0 on it) and the equilibrium potential
+    int log|t - x| dmu(t), of an int, Fraction, float (read exactly), complex
+    (an exact point) or AlgebraicNumber (its certified embedding disc).
+
+    The level set |w| = R is the ellipse with foci +-2 and distance sum
+    2 (R + 1/R), so g = arccosh(1 + rho^2), rho^2 = (|x - 2| + |x + 2|) / 4 - 1
+    (``_green_from_rho`` bounds the rounding). For x = +-a/q, u the unit
+    roundoff:
+    - a <= 2 q: 0.
+    - |x| - 2 < 2^-NEAR_TWO_BITS: rho^2 = (a - 2 q) / (2 q) from the
+      integers (``_sqrt_ratio``), no cancellation: 9 u g.
+    - |x| < 2^61: the textbook log((X + sqrt(X^2 - 4)) / 2), X = fl(|x|).
+      X^2 - 4 is off by (3 X^2 / (X^2 - 4) + 1) u (about 8 bits at most),
+      X + sqrt by (1.5 X^2 / (X^2 - 4) + 2.5) u, which the log adds, plus
+      2 u g. The rho form would be tighter, but the real-place lambda
+      integral log+|x| + kappa - g, and every real-place row, would move
+      by an ulp either way: their own roundings dominate there.
+    - beyond: log|x| (``_log_ratio``), as 0 < log|x| - g = log1p(w^-2)
+      <= 4 / x^2 < 2^-118, so no size of x overflows.
+    Complex x with a disc of radius r: by symmetry c = e + 2 + i y with
+    e + 2 = |Re x| and y = |Im x|, d1 = |c - 2|, d2 = |c + 2|. Then
+    4 rho^2 = d1 + (e (e + 8) + y^2) / (d2 + 4) for e >= 0, and
+    y^2 (1 / (d1 - e) + (1 - e / (d2 + e + 4)) / (d2 + 4)) for e < 0, every
+    term nonnegative, by d2 - 4 = (d2^2 - 16) / (d2 + 4), d1 + e = y^2 /
+    (d1 - e) and d2 - e - 4 = y^2 / (d2 + e + 4). Counting roundings (e
+    exact near 2, hypot within 2 u) puts rho within 8.5 u: 23 u g. Over
+    the disc rho^2 moves by at most r / 2 (each distance is 1-Lipschitz),
+    and arccosh(1 + s) is concave and 0 at 0, so subadditive: g moves by at
+    most arccosh(1 + r / 2) <= sqrt(r) (Hoelder-1/2, for discs at +-2), and
+    by the mean value theorem at most (r / 2) / sqrt(s (s + 2)) when
+    s = rho^2 - r / 2 > 0 (Lipschitz away from +-2; fl(rho)^2 is lowered by
+    20 u). A disc with y <= r and e + r <= 0 is read as a real root in
+    [-2, 2], g = 0: a root off the axis there would have its mirror image,
+    also a root, outside the disc but within r + 2 y of c. The 1% pads
+    cover second-order terms and the bounds' rounding, and 2^-1060 the
+    subnormal range.
     """
-    import mpmath as mp
-
-    d = cheb.degree
-    thresh = _escape_threshold(cheb)
-    sd_deriv = sum(abs(c) for c in cheb.poly.derivative().coeffs)
-    best = None
-    for prec in precision_ladder(128):
-        with mp.workprec(prec):
-            z, r = disc_at(prec)
-            z, r, k = mp.mpc(z), mp.mpf(r), k0
-            blown = False
-            for _ in range(64 + 8 * prec):
-                az = abs(z)
-                if az - r > thresh:
-                    lo = float(mp.log(az - r))
-                    hi = float(mp.log(az + r))
-                    val, err = _limit_estimate(cheb, lo, hi, k)
-                    if err < tol:
-                        return val, err
-                    best = (val, err)
-                if r > 0.05 * max(float(az), 1.0):
-                    blown = True  # disc inflated: needs a tighter start
-                    break
-                dbound = sd_deriv * max(1.0, float(az + r)) ** (d - 1)
-                z = cheb_eval(d, z)
-                r = dbound * r + abs(z) * mp.mpf(2) ** (4 - prec)
-                k += 1
-            if not blown:
-                best = best or (0.0, math.inf)
-    raise PrecisionError(
-        "could not certify the escape rate within the precision ceiling",
-        best=best,
-    )
+    if isinstance(x, AlgebraicNumber):
+        return _green_rational(x.as_fraction()) if x.is_rational else _green_disc(x.embedding)
+    if isinstance(x, complex):
+        return _green_disc(ApproxComplex(x, 0.0))
+    return _green_rational(Fraction(x))
 
 
-def _canonical_height_rational(x: Fraction, cheb: ChebMap, tol: float) -> HeightValue:
-    if is_preperiodic_rational(x):
-        return HeightValue(0.0, 0.0, "exact-rational")
-    log_q = math.log(x.denominator) if x.denominator > 1 else 0.0
-    if abs(x) <= 2:
-        # T_d maps [-2, 2] into itself: the whole forward orbit stays there,
-        # so the limit term vanishes
-        return HeightValue(log_q, 4e-16 * (1 + log_q), "iteration-limit")
-    cur = x
-    k = 0
-    # an exact rational outside [-2, 2]: keep iterating exactly until the
-    # certified tail of the limit drops under tol (a handful of steps: the
-    # drift shrinks doubly exponentially once past the threshold)
-    thresh = _escape_threshold(cheb)
-    while max(cur.numerator.bit_length(), cur.denominator.bit_length()) <= 4 * EXACT_BIT_CAP:
-        if abs(cur) > thresh:
-            log_abs = math.log(abs(cur.numerator)) - math.log(cur.denominator)
-            pad = 4e-13 * (1 + abs(log_abs))
-            limit, err = _limit_estimate(cheb, log_abs - pad, log_abs + pad, k)
-            if err < tol:
-                return HeightValue(log_q + limit, err + 4e-16 * (1 + log_q), "iteration-limit")
-        cur = cheb(cur)
-        k += 1
-
-    # barely-escaped point with huge coordinates: certified floating restart
-    num, den = cur.numerator, cur.denominator
-
-    def disc_at(prec):
-        import mpmath as mp
-
-        with mp.workprec(prec):
-            center = mp.mpf(num) / mp.mpf(den)
-            return center, abs(center) * float(mp.mpf(2) ** (4 - prec))
-
-    try:
-        limit, err = _escape_limit(cheb, disc_at, k, tol)
-    except PrecisionError as exc:
-        best = None
-        if exc.best:
-            best = HeightValue(log_q + exc.best[0], exc.best[1], "iteration-limit")
-        raise PrecisionError(str(exc), best=best) from None
-    return HeightValue(log_q + limit, err + 4e-16 * (1 + log_q), "iteration-limit")
+def log_plus(x) -> float:
+    """log max(1, |x|) of the inputs ``green_function`` takes; a rational's
+    from its integers (``_log_ratio``), so no size of x overflows."""
+    if isinstance(x, AlgebraicNumber):
+        x = x.as_fraction() if x.is_rational else x.embedding.value
+    if isinstance(x, complex):
+        return math.log(abs(x)) if abs(x) > 1.0 else 0.0
+    x = Fraction(x)
+    return _log_ratio(abs(x.numerator), x.denominator) if abs(x) > 1 else 0.0
 
 
-def _canonical_height_algebraic(beta: AlgebraicNumber, cheb: ChebMap, tol: float) -> HeightValue:
-    import mpmath as mp
-
-    if beta.is_preperiodic:
-        return HeightValue(0.0, 0.0, "exact-rational")
-    deg = beta.degree
-    if deg > DEGREE_CAP:
-        raise DomainError(f"degree {deg} exceeds the supported cap {DEGREE_CAP}")
-    base = math.log(abs(beta.leading)) / deg
-    per_tol = tol * deg / 2
-    last: PrecisionError | None = None
-    for prec_exp in (13, 20, 30, 45, 60):
-        try:
-            roots = complex_roots(beta.minpoly, 10.0 ** (-prec_exp))
-        except PrecisionError as exc:
-            last = exc
-            continue
-        total, err_total = 0.0, 0.0
-        try:
-            for a in roots:
-                re, im, r = a.real, a.imag, a.error_bound
-                if abs(im) <= r and abs(re) + r <= 2:
-                    continue  # certified real point of the invariant interval
-                val, err = _escape_limit(
-                    cheb, lambda _prec, _a=a: (mp.mpc(_a.real, _a.imag), _a.error_bound), 0, per_tol
-                )
-                total += val
-                err_total += err
-        except PrecisionError as exc:
-            last = exc
-            continue
-        return HeightValue(
-            base + total / deg, err_total / deg + 4e-16 * (1 + abs(base)), "iteration-limit"
-        )
-    raise PrecisionError("canonical height not certified at the precision ceiling", best=last.best if last else None)
+def _canonical_sum(leading: int, local: list[HeightValue], degree: int) -> HeightValue:
+    """(log|leading| + sum of the local heights g) / degree; besides the
+    local bounds, 4 u (1 + log|leading|) for math.log of the integer and one
+    rounding each for math.fsum and the division."""
+    log_lead = math.log(leading) if leading > 1 else 0.0
+    total = math.fsum([log_lead, *(g.value for g in local)])
+    value = total / degree
+    err = 4.04 * _U * (1.0 + log_lead) + sum(g.error_bound for g in local) + _U * abs(total)
+    return HeightValue(value, 1.01 * (err / degree + _U * abs(value)), "closed-form")
 
 
 def canonical_height(x, cheb: ChebMap | int = 2, tol: float = 1e-9) -> HeightValue:
     """Call-Silverman canonical height of x for the degree-d Chebyshev system.
 
-    x may be an int, Fraction, or AlgebraicNumber. Vanishes exactly on
-    preperiodic points; satisfies h(T_d(x)) = d h(x) up to tol.
+    x may be an int, Fraction, or AlgebraicNumber of degree D with leading
+    coefficient a and conjugates beta_i: h = (log|a| + sum_i g(beta_i)) / D
+    (``green_function``), log q + g(p/q) for p/q in lowest terms; the roots
+    are tightened until the bound meets tol. The value is the same for
+    every d >= 2, as the commuting T_d share one canonical height; d is
+    still checked. Vanishes exactly on preperiodic points. Raises
+    PrecisionError, carrying the best value, when the bound exceeds tol.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if isinstance(cheb, int):
-        cheb = ChebMap(cheb)
-    if isinstance(x, AlgebraicNumber):
-        if x.is_rational:
-            return _canonical_height_rational(x.as_fraction(), cheb, tol)
-        return _canonical_height_algebraic(x, cheb, tol)
-    return _canonical_height_rational(Fraction(x), cheb, tol)
-
-
-def canonical_height_closed_form(x, prec: int = 80) -> float:
-    """Independent oracle for rational x: log q + log((|x|+sqrt(x^2-4))/2).
-
-    Writing x = w + 1/w with |w| >= 1, the archimedean escape rate is
-    log|w| (zero on [-2,2]); finite places contribute log(denominator) for
-    a monic integer map. Used by tests to cross-check the iteration.
-    """
-    import mpmath as mp
-
-    x = Fraction(x)
-    with mp.workprec(prec):
-        log_q = mp.log(x.denominator) if x.denominator > 1 else mp.mpf(0)
-        ax = abs(mp.mpf(x.numerator)) / x.denominator
-        if ax <= 2:
-            return float(log_q)
-        w = (ax + mp.sqrt(ax * ax - 4)) / 2
-        return float(log_q + mp.log(w))
+        ChebMap(cheb)  # d >= 2
+    if not isinstance(x, AlgebraicNumber) or x.is_rational:
+        x = x.as_fraction() if isinstance(x, AlgebraicNumber) else Fraction(x)
+        if is_preperiodic_rational(x):
+            return HeightValue(0.0, 0.0, "exact-rational")
+        best = _canonical_sum(x.denominator, [green_function(x)], 1)
+    elif x.is_preperiodic:
+        return HeightValue(0.0, 0.0, "exact-rational")
+    elif x.degree > DEGREE_CAP:
+        raise DomainError(f"degree {x.degree} exceeds the supported cap {DEGREE_CAP}")
+    else:
+        best = None
+        for prec_exp in (13, 20, 30, 45, 60):
+            try:
+                roots = complex_roots(x.minpoly, 10.0 ** (-prec_exp))
+            except PrecisionError:
+                continue
+            h = _canonical_sum(abs(x.leading), [_green_disc(a) for a in roots], x.degree)
+            if best is None or h.error_bound < best.error_bound:
+                best = h
+            if h.error_bound <= tol:
+                break
+    if best is None or best.error_bound > tol:
+        raise PrecisionError("canonical height not certified within tol at the precision ceiling", best=best)
+    return best
 
 
 @record

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +96,26 @@ def test_equidist_csv_and_slope(tmp_path, capsys):
     rep = json.loads(out_path.read_text())
     assert rep["results"]["fittedSlope"] <= -0.4
     jsonschema.validate(rep, load_schema())
+
+
+#: 10^400 + 7 over 3: past float range
+HUGE_BETA = f"{10**400 + 7}/3"
+
+
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_equidist_takes_a_beta_past_float_range(tmp_path, capsys):
+    code = main(["equidist", f"--beta={HUGE_BETA}", "--Nmax", "30", "--csv", str(tmp_path / "rows.csv")])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_no_constant)  # strict JSON
+    jsonschema.validate(rep, load_schema())
+    res = rep["results"]
+    assert res["rows"] == 30 and len((tmp_path / "rows.csv").read_text().splitlines()) == 31
+    # h = log 3 + log|beta| to within 4 / beta^2, and lambda = kappa + log1p(w^-2)
+    assert abs(res["canonicalHeight"] - 400 * math.log(10)) <= 1e-12 * res["canonicalHeight"]
+    assert abs(res["lambdaIntegral"] - res["logPlusIntegral"]) <= 1e-12
 
 
 def test_cor33_exit_and_payload(capsys):
@@ -311,6 +332,9 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         ["cheb", "--n", "5", "--at", "3/7"],
         ["height", "--beta", "7/3"],
         ["canonical-height", "--beta", "7/3"],
+        # g is read from the integers, however close to 2 or large beta is
+        ["canonical-height", "--beta=2000000000000001/1000000000000000"],
+        ["equidist", f"--beta={HUGE_BETA}", "--Nmax", "5"],
         # Phi_N is a plain-integer power series, so no pairing reads numpy
         ["sintegral", "--beta", "3", "--N", "5", "--S", "inf,11"],
         ["cor33", "--beta", "3", "--p", "11", "--Nmax", "100"],

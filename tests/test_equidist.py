@@ -62,6 +62,25 @@ def test_potential_on_support_matches_quadrature():
         assert equilibrium_potential(x) == 0.0
 
 
+def test_potential_reads_the_integers_near_two_and_past_float_range():
+    # z * z - 4 cancels near +-2: at 2 + 1e-15, g = 3.162e-8, which the
+    # float formula missed by 1.8e-9
+    for k in (12, 15, 30):
+        x = 2 + Fraction(1, 10**k)
+        with mp.workprec(320):
+            want = mp.acosh(mp.mpf(x.numerator) / x.denominator / 2)
+        assert abs(equilibrium_potential(x) - want) <= 1e-15 * want
+        assert abs(equilibrium_potential(-x) - want) <= 1e-15 * want
+    # past float range g is log|beta| to within 4 / beta^2, and
+    # log+|beta| - g(beta) = log1p(w^-2) vanishes
+    huge = Fraction(10**400 + 7, 3)
+    with mp.workprec(320):
+        want = mp.log(mp.mpf(huge.numerator) / 3)
+    assert abs(equilibrium_potential(huge) - want) <= 1e-15 * want
+    assert abs(lambda_integral(huge, ARCH) - log_plus_integral()) <= 1e-12
+    assert lambda_integral(-1 / huge, ARCH) == log_plus_integral()
+
+
 def test_log_plus_integral_closed_form():
     kappa = log_plus_integral()
     with mp.workdps(30):

@@ -8,9 +8,9 @@ import pytest
 
 from chebdyn import (
     DomainError,
+    PrecisionError,
     algebraic_number,
     canonical_height,
-    canonical_height_closed_form,
     cheb_eval,
     dobrowolski_floor,
     is_prime,
@@ -22,7 +22,7 @@ from chebdyn import (
 from chebdyn.algebraic import AlgebraicNumber
 from chebdyn import heights
 from chebdyn.chebyshev import ORBIT_COS_ERROR, orbit_size
-from chebdyn.heights import HeightValue, orbit_generator_heights
+from chebdyn.heights import HeightValue, green_function, orbit_generator_heights
 from chebdyn.intpoly import IntPoly
 from chebdyn.numerics import ApproxComplex
 
@@ -64,14 +64,129 @@ def test_canonical_height_oracles():
     assert canonical_height(2, 2, 1e-9).value == 0.0
 
 
+def _closed_form_oracle(q, prec=256):
+    """log q + log((|x| + sqrt(x^2 - 4)) / 2) at prec bits, the last term
+    only for |x| > 2: x = w + 1/w with |w| >= 1."""
+    q = Fraction(q)
+    with mp.workprec(prec):
+        value = mp.log(q.denominator)
+        x = abs(mp.mpf(q.numerator) / q.denominator)
+        if x > 2:
+            value += mp.log((x + mp.sqrt(x * x - 4)) / 2)
+        return value
+
+
 def test_canonical_height_closed_form_agreement():
     rng = random.Random(61)
     for _ in range(60):
         q = Fraction(rng.randint(-300, 300), rng.randint(1, 60))
         if abs(q) <= 2:
             continue
-        got = canonical_height(q, 2, 1e-11).value
-        assert abs(got - canonical_height_closed_form(q)) < 1e-9
+        got = canonical_height(q, 2, 1e-11)
+        assert abs(got.value - _closed_form_oracle(q)) <= got.error_bound
+
+
+def _escape_rate(z, prec):
+    """lim log+|T_2^k(z)| / 2^k by iterating z -> z^2 - 2 at prec bits.
+
+    Stops once |z_k| > 2^100, where the rest of the limit, the sum over
+    j >= k of log|1 - 2 / z_j^2| / 2^(j+1), is below 2^-198 / 2^k; an orbit
+    still bounded after 600 steps contributes at most log 2 / 2^600."""
+    with mp.workprec(prec):
+        z = mp.mpc(z)
+        for k in range(600):
+            if abs(z) > mp.mpf(2) ** 100:
+                return mp.log(abs(z)) / mp.mpf(2) ** k
+            z = z * z - 2
+        return mp.mpf(0)
+
+
+def _definition_oracle(beta, prec=320):
+    """The canonical height from its definition: (log|a| + sum over the
+    conjugates of the escape rate) / D, the roots from mpmath at prec bits;
+    log q + the escape rate of p/q for a rational."""
+    with mp.workprec(prec):
+        if isinstance(beta, AlgebraicNumber):
+            coeffs = list(reversed(beta.minpoly.coeffs))
+            roots = mp.polyroots(coeffs, maxsteps=400, extraprec=prec)
+            total = mp.log(abs(beta.leading)) + mp.fsum(_escape_rate(r, prec) for r in roots)
+            return total / beta.degree
+        q = Fraction(beta)
+        return mp.log(q.denominator) + _escape_rate(mp.mpf(q.numerator) / q.denominator, prec)
+
+
+def test_canonical_height_matches_its_definition_within_the_bound():
+    near_two = [sign * (2 + Fraction(1, 10**k)) for k in range(1, 31) for sign in (1, -1)]
+    near_two += [Fraction(2 * 10**k + 1, 10**k) for k in (15, 60, 200)]
+    huge = [Fraction(10**400 + 7, 3), Fraction(-(10**400) - 1, 10**399 + 3), Fraction(3, 10**400 + 1)]
+    huge += [Fraction(10**k + 1, 7) for k in (20, 60, 154, 155, 308, 309)]
+    a = 3 * 10**12 + 1  # a x^2 - 4 a x + 4 a - 2: roots 2 +- sqrt(2 / a), 8.2e-7 from 2
+    algebraic = [algebraic_number([-2, -2, 1]), algebraic_number([4 * a - 2, -4 * a, a])]
+    algebraic += [algebraic_number([-2, 0, 0, 1]), algebraic_number([2, -1, 0, 3, 2], 2)]  # complex conjugates
+    for beta in near_two + huge + algebraic:
+        got = canonical_height(beta, 2, 1e-10)
+        assert got.method == "closed-form"
+        assert abs(got.value - _definition_oracle(beta)) <= got.error_bound, beta
+    # the root 8.2e-7 above 2 adds g = arccosh(x / 2), about sqrt(x - 2) = 9.0e-4, to 2 h
+    near = canonical_height(algebraic[1], 2, 1e-10)
+    assert 8.9e-4 < 2 * near.value - math.log(a) < 9.1e-4
+
+
+def _green_oracle(z, prec=320):
+    """log|w| for z = w + 1/w with |w| >= 1, at prec bits."""
+    with mp.workprec(prec):
+        z = mp.mpc(z)
+        root = mp.sqrt(z * z - 4)
+        return max(abs(mp.log(abs((z + root) / 2))), abs(mp.log(abs((z - root) / 2))))
+
+
+def test_green_function_near_plus_minus_two_within_its_bound():
+    # x * x - 4 cancels near +-2; the kernel reads |x| - 2 from the integers
+    for k in range(1, 31):
+        for sign in (1, -1):
+            x = sign * (2 + Fraction(1, 10**k))
+            with mp.workprec(320):
+                want = mp.acosh(abs(mp.mpf(x.numerator) / x.denominator) / 2)
+            got = green_function(x)
+            assert abs(got.value - want) <= got.error_bound, x
+            # 9 u g from the integers below 2 + 1/256; the textbook form's
+            # cancellation above it costs at most about 8 bits
+            assert got.error_bound <= (1.1e-15 if k > 2 else 2e-13) * got.value, x
+    # complex points within 1e-12 of +-2, exact as given
+    for center in (2, -2):
+        for radius in (1e-12, 3e-14, 1e-16):
+            for t in range(16):
+                z = center + radius * complex(math.cos(t * 0.4), math.sin(t * 0.4))
+                got = green_function(z)
+                assert abs(got.value - _green_oracle(z)) <= got.error_bound, z
+                assert got.error_bound <= 3e-15 * got.value + 1e-300, z
+
+
+def test_green_function_on_a_grid_and_its_discs():
+    rng = random.Random(64)
+    points = [complex(rng.uniform(-6, 6), rng.uniform(-3, 3)) for _ in range(300)]
+    points += [complex(rng.uniform(-2, 2), 10.0 ** -rng.randint(1, 15)) for _ in range(100)]
+    for z in points:
+        got = green_function(z)
+        assert abs(got.value - _green_oracle(z)) <= got.error_bound, z
+    assert green_function(0.5 + 0j).value == green_function(Fraction(-2)).value == 0.0
+    # a disc of radius r: the bound covers every point of it
+    for z in points[:60]:
+        r = 10.0 ** -rng.randint(4, 14)
+        got = green_function(AlgebraicNumber.with_embedding(IntPoly.from_coeffs([1, 0, 1]), 0, ApproxComplex(z, r)))
+        for t in range(8):
+            w = z + r * complex(math.cos(t * 0.8), math.sin(t * 0.8))
+            assert abs(got.value - _green_oracle(w)) <= got.error_bound, (z, r)
+
+
+def test_canonical_height_raises_with_its_best_value_when_tol_is_below_the_bound():
+    with pytest.raises(PrecisionError) as info:
+        canonical_height(Fraction(7, 3), 2, 1e-20)
+    best = info.value.best
+    assert isinstance(best, HeightValue) and best.error_bound > 1e-20
+    assert abs(best.value - _closed_form_oracle(Fraction(7, 3))) <= best.error_bound
+    with pytest.raises(DomainError):
+        canonical_height(3, 1)
 
 
 def test_functional_equation():
