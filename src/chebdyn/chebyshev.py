@@ -69,12 +69,56 @@ def distinct_primes(n: int) -> list[int]:
 def moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0.
 
-    Cached: a real-place sweep walks every order twice, in ``PairingSieve``
-    and in ``heights.orbit_generator_heights``."""
+    The divisor walk of one order; a sweep over every N <= Nmax reads
+    ``moebius_sums`` instead. Cached: ``orbit_size``, the cyclotomic kernel
+    and ``heights.orbit_generator_heights`` walk the same order in turn."""
     terms = [(n, 1)]
     for p in distinct_primes(n):
         terms += [(d // p, -mu) for d, mu in terms]
     return tuple(terms)
+
+
+@lru_cache(maxsize=1)
+def _moebius_table(n: int) -> list[int]:
+    """mu(k) for 0 <= k <= n (mu(0) = 0) by the linear sieve: each composite
+    i p is struck once, from its least prime factor p."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    composite = bytearray(n + 1)
+    primes = []
+    for i in range(2, n + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > n:
+                break
+            composite[i * p] = 1
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    return mu
+
+
+def moebius_sums(values, n_max: int, total=math.fsum) -> list:
+    """total([mu(N/d) values[d] for d | N]) for 0 <= N <= n_max (total([])
+    at N = 0), values indexed from 1.
+
+    One walk over the multiples N = k d of each squarefree k, so a sweep
+    over every N costs sum_k n_max / k steps, against a divisor list per N.
+    The default total, math.fsum, rounds the exact sum once, so a float sum
+    does not depend on the order of its terms; ``sum`` keeps integers exact.
+    """
+    mu = _moebius_table(n_max)
+    terms = [[] for _ in range(n_max + 1)]
+    negated = [-v for v in values[: n_max + 1]]
+    for k in range(1, n_max + 1):
+        if mu[k]:
+            source = values if mu[k] > 0 else negated
+            for term, v in zip(terms[k::k], source[1 : n_max // k + 1]):
+                term.append(v)
+    return [total(t) for t in terms]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ The height of the order-N preperiodic point is read in closed form, not
 summed over its phi(N)/2 conjugates: a Moebius sum over the divisors d of N
 of the defect E(d) of the d-point Riemann sum of log max(1, |2 cos 2 pi t|),
 each E(d) a short libm sum (d < 100) or an Euler-Maclaurin series
-(``orbit_generator_heights``).
+(``orbit_generator_heights``); ``orbit_height_defects`` reads every E(d) up
+to a bound in one pass, for the real-place discrepancy sweep of ``equidist``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
 LOG_PLUS_INTEGRAL = 0.32306594721945053
 #: |LOG_PLUS_INTEGRAL - kappa| is at most half an ulp: kappa lies in [1/4, 1/2)
 LOG_PLUS_INTEGRAL_ERROR = 2.0**-55
+#: kappa - LOG_PLUS_INTEGRAL rounded to the nearest double, within 2^-109 of it
+LOG_PLUS_INTEGRAL_LOW = -1.9185080819452927e-17
 
 #: E(d) is summed directly for d below this, and read from its
 #: Euler-Maclaurin series from it on
@@ -136,7 +139,7 @@ def _defect_series() -> tuple[list[list[float]], list[list[float]], list[float]]
     (integer Bernoulli numbers over the common denominator of von Staudt and
     Clausen, and D 6^j B_j(k/6) in integers) and rounds once, and the rest
     costs at most (2 j + 2) u more. weights[r][j - 2] = (5 j + 1) |e_{j,r}|
-    bounds the whole float error of term j in ``_series_defect``.
+    bounds the whole float error of term j in ``_series_defects``.
     thresholds[J] is the least d at which the remainder bound of order J is
     below DEFECT_SERIES_TOL (inf for J < 2); the list ends at the first
     order that reaches DEFECT_SERIES_FROM.
@@ -176,22 +179,41 @@ def _defect_series() -> tuple[list[list[float]], list[list[float]], list[float]]
     return coefficients, weights, thresholds
 
 
-def _series_defect(d: int) -> tuple[float, float]:
-    """E(d) and its error bound from the Euler-Maclaurin series, d >= DEFECT_SERIES_FROM.
+@lru_cache(maxsize=None)
+def _series_terms(order: int) -> list[list[tuple[float, float]]]:
+    """(e_j, weight_j) for j = order, ..., 2 (Horner's order) at each
+    residue d mod 6: the rows of ``_defect_series`` an order-J series reads."""
+    coefficients, weights, _ = _defect_series()
+    return [list(zip(reversed(c[: order - 1]), reversed(w[: order - 1]))) for c, w in zip(coefficients, weights)]
 
-    Horner in x = fl(1/d) over e_J .. e_2 and one last product by x: term j
-    meets at most 2 j - 2 roundings there and (j - 1) u from x, so with its
-    coefficient's (2 j + 2) u it is off by at most (5 j + 1) u |e_j| d^(1-j)
-    (to first order; the 1% pad covers the rest), besides the remainder.
+
+def _series_defects(lo: int, hi: int) -> list[tuple[float, float]]:
+    """E(d) and its error bound for lo <= d < hi from the Euler-Maclaurin
+    series, lo >= DEFECT_SERIES_FROM.
+
+    d takes the least order J with d >= thresholds[J]; the thresholds fall
+    as J rises, so the orders are read band by band. Horner in x = fl(1/d)
+    over e_J .. e_2 and one last product by x: term j meets at most 2 j - 2
+    roundings there and (j - 1) u from x, so with its coefficient's
+    (2 j + 2) u it is off by at most (5 j + 1) u |e_j| d^(1-j) (to first
+    order; the 1% pad covers the rest), besides the remainder.
     """
-    coefficients, weights, thresholds = _defect_series()
-    order = next(j for j in range(2, len(thresholds)) if d >= thresholds[j])
-    x = 1.0 / d
-    value = weight = 0.0
-    for c, w in zip(reversed(coefficients[d % 6][: order - 1]), reversed(weights[d % 6][: order - 1])):
-        value = c + x * value
-        weight = w + x * weight
-    return x * value, DEFECT_SERIES_TOL + 1.01 * _U * x * weight
+    thresholds = _defect_series()[2]
+    out, start = [], lo
+    for order in range(len(thresholds) - 1, 1, -1):
+        stop = min(hi, thresholds[order - 1])
+        if start >= stop:
+            continue
+        rows = _series_terms(order)
+        for d in range(start, stop):
+            x = 1.0 / d
+            value = weight = 0.0
+            for c, w in rows[d % 6]:
+                value = c + x * value
+                weight = w + x * weight
+            out.append((x * value, DEFECT_SERIES_TOL + 1.01 * _U * x * weight))
+        start = stop
+    return out
 
 
 def _direct_defect(d: int) -> tuple[float, float]:
@@ -236,7 +258,15 @@ def _orbit_height_defect(d: int) -> tuple[float, float]:
     """E(d) = sum_{a=0}^{d-1} log max(1, |2 cos(2 pi a/d)|) - d kappa and a
     bound on its error; below DEFECT_SERIES_FROM, kappa is LOG_PLUS_INTEGRAL
     itself (its error cancels in ``orbit_generator_heights``)."""
-    return _direct_defect(d) if d < DEFECT_SERIES_FROM else _series_defect(d)
+    return _direct_defect(d) if d < DEFECT_SERIES_FROM else _series_defects(d, d + 1)[0]
+
+
+def orbit_height_defects(n_max: int) -> list[tuple[float, float]]:
+    """(E(d), its error bound) for 0 <= d <= n_max, (0.0, 0.0) at d = 0: the
+    values of ``_orbit_height_defect`` bit for bit, the series part read in
+    one pass over its order bands."""
+    direct = [_orbit_height_defect(d) for d in range(1, min(n_max + 1, DEFECT_SERIES_FROM))]
+    return [(0.0, 0.0), *direct, *_series_defects(DEFECT_SERIES_FROM, n_max + 1)]
 
 
 def orbit_generator_height(n: int) -> HeightValue:

@@ -31,7 +31,7 @@ from .chebyshev import (
     PreperiodicOrbit,
     conjugates_fast,
     is_preperiodic_rational,
-    moebius_divisors,
+    moebius_sums,
     preperiodic_orbit,
     symmetric_coeffs,
 )
@@ -315,13 +315,15 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
 #: F_N is S-integral iff log|F_N| - sum_p v_p(F_N) log p, the log of its
 #: integer cofactor away from the primes p of S and of lc(f_beta), is below
 #: this cutoff: the cofactor is 1 (log 0) or at least 2 (log 0.693). The
-#: float error is far smaller, at every degree of beta: log|F_N| is half a
-#: sum of at most tau(N) terms +-log|G_d| (``PairingSieve``), each math.log
-#: of an exact integer with relative error below 2^-50, so it is off by at
-#: most tau(N) max_d log|G_d| 2^-50, and the stripped part adds at most
-#: |S| + omega(lc) products v_p log p rounded as finely. That stays below
-#: 1e-6 while tau(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of
-#: 180 MB), so the verdict is exact.
+#: float error is far smaller, at every degree of beta: log|F_N| is half
+#: the math.fsum of at most 2^omega(N) terms +-log|G_d| (``PairingSieve``),
+#: each math.log of an exact integer with relative error below 2^-50, and
+#: fsum rounds their exact sum once, so it is off by at most
+#: 2^omega(N) max_d log|G_d| 2^-50 + 2^-53 log|F_N|; the valuations are exact
+#: integers, and the stripped part adds at most |S| + omega(lc) products
+#: v_p log p, each rounded as finely. That stays below 1e-6 while
+#: 2^omega(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of 180 MB), so
+#: the verdict is exact.
 COFACTOR_LOG_CUTOFF = 0.34
 
 
@@ -338,8 +340,13 @@ class PairingSieve:
     form of cyclotomic values (Arnold & Monagan, Math. Comp. 80, 2011). Only
     log|G_d| and v_p(G_d) for the given primes are kept, so the sign of F_N
     is lost; every reader is sign-free. The cost is one recurrence to n_max
-    plus a divisor sum per N, against a recurrence to the orbit size per N
-    for ``pairing_value``.
+    plus the divisor sums, against a recurrence to the orbit size per N for
+    ``pairing_value``. The divisor sums of every N come from one walk over
+    multiples (``chebyshev.moebius_sums``): exact for the valuations and
+    orbit sizes, math.fsum for log|F_N|. log|F_N| serves only the
+    S-integrality verdict (``scan_orbits``, to COFACTOR_LOG_CUTOFF); a
+    real-place orbit average reads the same product in closed form, with no
+    big integer (``equidist.real_place_defects``).
 
     G_d = 0 exactly when T_d(beta) = 2, that is when beta lies in an orbit
     of order dividing d; the first such d is that order, and it is rejected
@@ -363,17 +370,10 @@ class PairingSieve:
             for p, vals in val_g.items():
                 if g_d % p == 0:
                     vals[d] = padic_valuation(g_d, p)
-        self._log = [0.0] * (n_max + 1)
-        self._val = {p: [0] * (n_max + 1) for p in primes}
-        self._size = [1] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            terms = moebius_divisors(n)
-            half = 2 if n >= 3 else 1
-            if n >= 3:
-                self._size[n] = sum(mu * d for d, mu in terms) // 2
-            self._log[n] = sum(mu * log_g[d] for d, mu in terms) / half
-            for p, vals in val_g.items():
-                self._val[p][n] = sum(mu * vals[d] for d, mu in terms) // half
+        halves = [1, 1, 1] + [2] * (n_max - 2)
+        self._size = [phi // half for phi, half in zip(moebius_sums(range(n_max + 1), n_max, sum), halves)]
+        self._log = [v / half for v, half in zip(moebius_sums(log_g, n_max), halves)]
+        self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max, sum), halves)] for p, vals in val_g.items()}
 
     def log_abs(self, n: int) -> float:
         """log|F_n|."""

@@ -42,8 +42,8 @@ from chebdyn.chebyshev import (
     orbit_value,
 )
 from chebdyn.equidist import (
-    arch_discrepancy_fast,
     az_pairing_estimate,
+    equidist_rows,
     fitted_slope,
     lambda_integral,
     log_plus_integral,
@@ -51,7 +51,7 @@ from chebdyn.equidist import (
 )
 from chebdyn.factorint import primes_upto, strip_primes
 from chebdyn.heights import sample_betas
-from chebdyn.integrality import ARCH, PairingSieve, newton_polygon_valuations, orbit_shift_poly, scan_orbits
+from chebdyn.integrality import ARCH, newton_polygon_valuations, orbit_shift_poly, scan_orbits
 from chebdyn.numerics import ApproxComplex
 from chebdyn.roots import complex_roots
 
@@ -257,12 +257,9 @@ def test_criterion_6_near_orbit_uniqueness():
 def test_criterion_7_equidistribution_decay():
     """Fitted log-log slope <= -0.4 and final discrepancy <= 1e-2 for beta = 3."""
     orders = [int(p) for p in primes_upto(5000) if p >= 100]
-    sizes, discs = [], []
-    sieve = PairingSieve(Fraction(3), max(orders))
-    for n in orders:
-        rec = arch_discrepancy_fast(sieve, n)
-        sizes.append(rec.orbit_size)
-        discs.append(rec.discrepancy)
+    rows = equidist_rows(Fraction(3), ARCH, orders)
+    sizes = [size for _, size, _ in rows]
+    discs = [disc for _, _, disc in rows]
     slope = fitted_slope(sizes, discs)
     final = max(d for s, d in zip(sizes, discs) if s >= max(sizes) * 0.8)
     ok = slope <= -0.4 and final <= 1e-2

@@ -32,6 +32,8 @@ from chebdyn.chebyshev import (
     is_preperiodic_dynamic,
     minpoly_identity_exact,
     minpoly_identity_mod,
+    moebius_divisors,
+    moebius_sums,
     orbit_norm_quadratic,
     orbit_value,
     preperiodic_order_of_minpoly,
@@ -262,6 +264,22 @@ def test_distinct_primes_across_table_growth(monkeypatch):
     for n in range(2, 40001):
         assert distinct_primes(n) == sorted(factor_counts(n)), n
     assert chebyshev._SPF_LIMIT == 1 << 16
+
+
+def test_moebius_sums_match_the_divisor_lists():
+    # one walk over multiples against a divisor list per N, for every
+    # N <= 5000: integers exactly, floats as math.fsum rounds the same terms
+    n_max = 5000
+    rng = random.Random(4409)
+    floats = [0.0] + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 3) for _ in range(n_max)]
+    ints = [0] + [rng.randint(-(10**30), 10**30) for _ in range(n_max)]
+    got_f, got_i = moebius_sums(floats, n_max), moebius_sums(ints, n_max, sum)
+    got_phi = moebius_sums(range(n_max + 1), n_max, sum)
+    for n in range(1, n_max + 1):
+        terms = moebius_divisors(n)
+        assert got_f[n] == math.fsum(mu * floats[d] for d, mu in terms), n
+        assert got_i[n] == sum(mu * ints[d] for d, mu in terms), n
+        assert got_phi[n] == (2 * orbit_size(n) if n >= 3 else 1), n
 
 
 def test_orbit_closure_under_dynamics():

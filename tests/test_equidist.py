@@ -31,9 +31,10 @@ from chebdyn.equidist import (
     fitted_slope,
     measure_invariance_gap,
     quadrature_potential,
+    real_place_defects,
 )
-from chebdyn import factorint, is_prime
-from chebdyn.integrality import PairingSieve, newton_polygon_valuations, orbit_shift_poly
+from chebdyn import equidist, factorint, integrality, is_prime
+from chebdyn.integrality import newton_polygon_valuations, orbit_shift_poly
 from chebdyn.heights import LOG_PLUS_INTEGRAL_ERROR
 
 
@@ -193,9 +194,9 @@ def test_discrepancy_records():
 
 
 def test_fast_scan_matches_orbit_route():
-    # oracle: the mpmath mean of the lambdas over the conjugates, which does
-    # not go through the product formula that both equidist_rows and
-    # discrepancy() use
+    # oracle: the mpmath mean of the lambdas over the conjugates, which goes
+    # neither through the product formula that discrepancy() uses nor
+    # through the closed form that equidist_rows reads from it
     for beta in (Fraction(3), Fraction(97, 89), Fraction(-71, 13)):
         integral = lambda_integral(beta, ARCH)
         for n, size, disc in equidist_rows(beta, ARCH, [1, 2, 5, 12, 101]):
@@ -219,7 +220,7 @@ def test_real_place_row_near_a_conjugate():
     # at 60 digits minus the closed-form integral (|beta| < 1, on the support)
     beta = Fraction(57238241, 1007413503)
     n = 387
-    rec = arch_discrepancy_fast(PairingSieve(beta, n), n)
+    rec = arch_discrepancy_fast(beta, n)
     with mp.workdps(60):
         b = mp.mpf(beta.numerator) / beta.denominator
         xs = [2 * mp.cospi(mp.mpf(2 * a) / n) for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
@@ -228,6 +229,124 @@ def test_real_place_row_near_a_conjugate():
         want = abs(avg - kappa)
         assert abs(want - mp.mpf("0.131281313394843100")) < 1e-18
     assert abs(rec.discrepancy - float(want)) < 1e-12
+
+
+def _real_place_delta(beta, n, dps=40):
+    # the mean of lambda_x(beta) = -log(|x - beta| / (max(|x|, 1) max(|beta|, 1)))
+    # over the conjugates x of the order-n orbit, less log+|beta| + kappa -
+    # log|w| (beta = w + 1/w, |w| >= 1), all in mpmath
+    with mp.workdps(dps):
+        b = mp.mpf(beta.numerator) / beta.denominator
+        if n <= 2:
+            xs = [mp.mpf(2 if n == 1 else -2)]
+        else:
+            xs = [2 * mp.cospi(mp.mpf(2 * a) / n) for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
+        big = max(abs(b), 1)
+        avg = mp.fsum(-mp.log(abs(x - b) / (max(abs(x), 1) * big)) for x in xs) / len(xs)
+        w = (abs(b) + mp.sqrt(b * b - 4)) / 2 if abs(b) > 2 else mp.mpf(1)
+        return avg - (mp.log(big) + mp.clsin(2, mp.pi / 3) / mp.pi - mp.log(w))
+
+
+def _near(n0, a, gap):
+    # a rational within about gap of 2 cos(2 pi a / n0), read at 40 digits
+    with mp.workdps(40):
+        target = 2 * mp.cospi(mp.mpf(2 * a) / n0) + gap
+        q = 10**40
+        return Fraction(int(mp.nint(target * q)), q)
+
+
+def test_real_place_rows_within_their_bound_of_the_mpmath_mean():
+    grid = [
+        (_near(387, 5, mp.mpf("1e-9")), 387),
+        (_near(60, 7, mp.mpf("-1e-12")), 60),
+        (_near(11, 3, mp.mpf("1e-12")), 11),
+        (Fraction(2 * 10**9 + 1, 10**9), 7),
+        (Fraction(2 * 10**9 - 1, 10**9), 7),
+        (Fraction(-2 * 10**9 - 1, 10**9), 7),
+        (Fraction(10**400 + 7, 3), 7),
+        (Fraction(1, 3), 7),
+        (Fraction(-71, 53), 7),
+        (Fraction(54497, 28758), 7),
+        (Fraction(-10), 7),
+        (Fraction(7, 2), 7),
+    ]
+    rng = random.Random(6007)
+    worst = 0.0
+    for beta, n0 in grid:
+        n_max = max(2 * n0, 420)
+        sizes, delta, bound = real_place_defects(beta, n_max)
+        rows = equidist_rows(beta, ARCH, range(1, n_max + 1))
+        orders = {1, 2, 3, 4, 5, 6, 12, 30, 210, 420, n0, 2 * n0, *rng.sample(range(7, n_max + 1), 6)}
+        for n in sorted(orders):
+            want = _real_place_delta(beta, n)
+            assert abs(delta[n] - want) <= bound[n], (beta, n, float(delta[n] - want), bound[n])
+            assert rows[n - 1] == (n, sizes[n], abs(delta[n]))
+            assert sizes[n] == orbit_size(n)
+            worst = max(worst, bound[n])
+    assert worst < 1e-13  # the bounds stay tight, even next to a conjugate
+
+
+def test_real_place_rows_escalate_next_to_a_conjugate(monkeypatch):
+    # beta within 1e-25 of 2 cos(2 pi / 7): |1 - w^d| is about 1e-25 d for
+    # the d divisible by 7, below what 128 fixed-point bits certify, so those
+    # d read the exact recurrence, in one pass to the last of them
+    with mp.workdps(60):
+        target = 2 * mp.cospi(mp.mpf(2) / 7)
+        beta = Fraction(int(mp.nint(target * 10**26)), 10**26)
+        assert 0 < abs(mp.mpf(beta.numerator) / beta.denominator - target) < mp.mpf("1e-25")
+    passes = []
+    real = equidist._scaled_chebyshev
+
+    def counting(f):
+        passes.append(f)
+        return real(f)
+
+    monkeypatch.setattr(equidist, "_scaled_chebyshev", counting)
+    n_max = 60
+    _, delta, bound = real_place_defects(beta, n_max)
+    assert len(passes) == 1
+    for n in range(1, n_max + 1):
+        want = _real_place_delta(beta, n, dps=60)
+        assert abs(delta[n] - want) <= bound[n], (n, float(delta[n] - want), bound[n])
+        # the exact product-formula route, within its own rounding of
+        # h(beta) = log 10^26 and log|F_N|
+        exact = discrepancy(preperiodic_orbit(n), beta, ARCH).discrepancy
+        assert abs(abs(delta[n]) - exact) <= bound[n] + 1e-13, n
+    # the fixed point alone could not have told these d from a conjugate
+    logs, _ = equidist._root_logs(beta, n_max)
+    assert all(logs[d] < -50 for d in range(7, n_max + 1, 7))
+    with pytest.raises(PreperiodicInputError):
+        real_place_defects(Fraction(1), 12)  # 1 = 2 cos(2 pi / 6)
+
+
+def test_real_place_rows_read_no_pairing_sieve(monkeypatch):
+    # no big-integer pass at all for the float-sweep workload's kind of beta:
+    # rationals of height 1-5 nats and approximants of a conjugate
+    def refuse(*args, **kwargs):
+        raise AssertionError("a real-place row read the exact recurrence")
+
+    monkeypatch.setattr(integrality, "_scaled_chebyshev", refuse)
+    monkeypatch.setattr(equidist, "_scaled_chebyshev", refuse)
+    monkeypatch.setattr(integrality.PairingSieve, "__init__", refuse)
+    monkeypatch.setattr(equidist.PairingSieve, "__init__", refuse)
+    for beta in ("54497/28758", "9/16", "11/4", "-2/5", "-10", "104591/101348", "366/1261",
+                 "-941019/796096", "-1265018692/1275708879"):
+        rows = equidist_rows(Fraction(beta), ARCH, range(1, 3001))
+        assert len(rows) == 3000
+
+
+def test_lambda_integral_keeps_its_digits_for_large_beta():
+    # kappa + log1p(w^-2) against 60 digits, where (log+|beta| + kappa) - g
+    # lost up to 3e-15
+    for beta in (Fraction(10**20 + 1, 3), Fraction(10**400 + 7, 3), Fraction(10**10 + 1), Fraction(-(10**10) - 1)):
+        with mp.workdps(60):
+            b = abs(mp.mpf(beta.numerator) / beta.denominator)
+            w = (b + mp.sqrt(b * b - 4)) / 2
+            want = mp.clsin(2, mp.pi / 3) / mp.pi + mp.log1p(w**-2)
+        assert abs(lambda_integral(beta, ARCH) - want) <= math.ulp(0.32), beta
+    # on [-2, 2] it is still log+|beta| + kappa
+    for beta in (Fraction(1, 3), Fraction(-7, 4), Fraction(2)):
+        assert lambda_integral(beta, ARCH) == math.log(max(abs(beta), 1)) + log_plus_integral()
 
 
 def test_real_place_rows_factor_nothing(monkeypatch):
@@ -275,9 +394,8 @@ def test_fitted_slope_matches_polyfit():
 
     # criterion 7's data: beta = 3 at the real place, prime N in [100, 5000]
     orders = [n for n in range(100, 5001) if is_prime(n)]
-    sieve = PairingSieve(Fraction(3), max(orders))
-    recs = [arch_discrepancy_fast(sieve, n) for n in orders]
-    fits = [([r.orbit_size for r in recs], [r.discrepancy for r in recs])]
+    rows = equidist_rows(Fraction(3), ARCH, orders)
+    fits = [([size for _, size, _ in rows], [d for _, _, d in rows])]
     # the CLI's rows (orbit size > 1) of rational sweeps at both kinds of place
     for beta, place in [
         (Fraction(97, 89), ARCH),

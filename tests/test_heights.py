@@ -351,11 +351,37 @@ def test_defect_series_meets_the_direct_sums():
     worst = 0.0
     for d in range(d0, 2 * d0 + 1):
         direct, direct_err = heights._direct_defect(d)
-        series, series_err = heights._series_defect(d)
+        series, series_err = heights._series_defects(d, d + 1)[0]
         gap = abs(direct - series)
         assert gap <= direct_err + series_err + d * heights.LOG_PLUS_INTEGRAL_ERROR, d
         worst = max(worst, gap)
     assert worst < 2e-14  # inside the direct sums' worst-case bounds, 4e-14 to 8.4e-14
+
+
+def _series_defect_loop(d):
+    # the per-order Horner loop that the batched pass replaced, kept as its
+    # reference: the order is looked up for each d on its own
+    coefficients, weights, thresholds = heights._defect_series()
+    order = next(j for j in range(2, len(thresholds)) if d >= thresholds[j])
+    x = 1.0 / d
+    value = weight = 0.0
+    for c, w in zip(reversed(coefficients[d % 6][: order - 1]), reversed(weights[d % 6][: order - 1])):
+        value = c + x * value
+        weight = w + x * weight
+    return x * value, heights.DEFECT_SERIES_TOL + 1.01 * 2.0**-53 * x * weight
+
+
+def test_batched_defects_are_the_per_order_values_bit_for_bit():
+    n_max = 6000
+    heights._orbit_height_defect.cache_clear()
+    batch = heights.orbit_height_defects(n_max)
+    assert len(batch) == n_max + 1 and batch[0] == (0.0, 0.0)
+    for d in range(1, n_max + 1):
+        loop = heights._direct_defect(d) if d < heights.DEFECT_SERIES_FROM else _series_defect_loop(d)
+        assert batch[d] == loop == heights._orbit_height_defect(d), d
+    # a pass that starts or stops inside an order band reads the same values
+    assert heights._series_defects(997, 2701) == batch[997:2701]
+    assert heights.orbit_height_defects(57) == batch[:58]
 
 
 def test_orbit_height_defect_constant_bounds_the_equidistribution_error():
