@@ -30,7 +30,6 @@ from .chebyshev import (
     preperiodic_orbit,
 )
 from .equidist import (
-    DecayConstants,
     DiscrepancyRecord,
     LambdaIdentity,
     PairingEstimate,

@@ -24,6 +24,7 @@ from itertools import accumulate, compress
 from operator import sub
 
 from .errors import DomainError
+from .factorint import arithmetic_table
 from .intpoly import IntPoly
 from .numerics import ApproxReal, cos_two_pi
 from .records import record
@@ -32,30 +33,13 @@ from .records import record
 # cyclotomic polynomials (exact integers, one truncated power series)
 # ---------------------------------------------------------------------------
 
-_SPF_LIMIT = 1 << 14
-_SPF: list[int] | None = None
 #: orders whose Moebius divisor lists stay cached (most recently used)
 MOEBIUS_CACHE_SIZE = 1 << 13
 
 
-def _spf_table(limit: int) -> list[int]:
-    """Smallest prime factor of every 2 <= i <= limit; the bound doubles as needed."""
-    global _SPF, _SPF_LIMIT
-    if _SPF is None or limit >= _SPF_LIMIT:
-        while _SPF_LIMIT <= limit:
-            _SPF_LIMIT *= 2
-        spf = list(range(_SPF_LIMIT + 1))
-        for i in range(2, math.isqrt(_SPF_LIMIT) + 1):
-            if spf[i] == i:
-                for j in range(i * i, _SPF_LIMIT + 1, i):
-                    if spf[j] == j:
-                        spf[j] = i
-        _SPF = spf
-    return _SPF
-
-
 def distinct_primes(n: int) -> list[int]:
-    spf = _spf_table(n)
+    """The primes dividing n, ascending."""
+    spf = arithmetic_table(n).spf
     out = []
     while n > 1:
         p = spf[n]
@@ -70,35 +54,12 @@ def moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mu(n/d)) for the divisors d of n with mu(n/d) != 0.
 
     The divisor walk of one order; a sweep over every N <= Nmax reads
-    ``moebius_sums`` instead. Cached: ``orbit_size``, the cyclotomic kernel
-    and ``heights.orbit_generator_heights`` walk the same order in turn."""
+    ``moebius_sums`` instead. Cached: the cyclotomic kernel and
+    ``heights.orbit_generator_heights`` walk the same order in turn."""
     terms = [(n, 1)]
     for p in distinct_primes(n):
         terms += [(d // p, -mu) for d, mu in terms]
     return tuple(terms)
-
-
-@lru_cache(maxsize=1)
-def _moebius_table(n: int) -> list[int]:
-    """mu(k) for 0 <= k <= n (mu(0) = 0) by the linear sieve: each composite
-    i p is struck once, from its least prime factor p."""
-    mu = [1] * (n + 1)
-    mu[0] = 0
-    composite = bytearray(n + 1)
-    primes = []
-    for i in range(2, n + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            composite[i * p] = 1
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
 
 
 def moebius_sums(values, n_max: int, total=math.fsum) -> list:
@@ -110,7 +71,7 @@ def moebius_sums(values, n_max: int, total=math.fsum) -> list:
     The default total, math.fsum, rounds the exact sum once, so a float sum
     does not depend on the order of its terms; ``sum`` keeps integers exact.
     """
-    mu = _moebius_table(n_max)
+    mu = arithmetic_table(n_max).mu
     terms = [[] for _ in range(n_max + 1)]
     negated = [-v for v in values[: n_max + 1]]
     for k in range(1, n_max + 1):
@@ -220,12 +181,12 @@ class ChebMap:
 
 def orbit_size(n: int) -> int:
     """Size of the Galois orbit over Q of the order-n preperiodic point:
-    phi(n)/2 = sum mu(n/d) d / 2 over the divisors d of n, for n >= 3."""
+    phi(n)/2 for n >= 3, phi read from the arithmetic table; 1 for n <= 2."""
     if n < 1:
         raise DomainError("order must be positive")
     if n <= 2:
         return 1
-    return sum(mu * d for d, mu in moebius_divisors(n)) // 2
+    return arithmetic_table(n).phi[n] // 2
 
 
 def _coprime_mask(n: int) -> bytearray:

@@ -444,7 +444,10 @@ def cmd_theorem2(args):
     places = parse_places(args.S)
     s_fin = places.finite_primes
     rng = random.Random(args.seed)
-    betas = sample_betas(rng, args.trials, args.height_cap, args.Dcap)
+    try:
+        betas = sample_betas(rng, args.trials, args.height_cap, args.Dcap)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     per_beta = []
     worst = 0
     for sb in betas:

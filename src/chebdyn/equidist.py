@@ -19,7 +19,7 @@ from .algebraic import AlgebraicNumber
 from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, moebius_sums, orbit_size
 from .chebyshev import conjugates_fast  # noqa: F401  (traced under this module by bench/tracing.py)
 from .errors import DomainError, PreperiodicInputError
-from .factorint import padic_valuation
+from .factorint import arithmetic_table, padic_valuation
 from .heights import (
     DEFECT_SERIES_FROM,
     LOG_PLUS_INTEGRAL,
@@ -40,9 +40,6 @@ from .integrality import (
     Place,
     _pairing_beta,
     _scaled_chebyshev,
-    arch_proximity,
-    newton_polygon_valuations,
-    orbit_shift_poly,
     pairing_value,
 )
 from .records import record
@@ -271,21 +268,6 @@ def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -
 
 
 @record
-class DecayConstants:
-    """Constants (C, delta, A) for the quantitative decay bound."""
-
-    c: float = 1.0
-    delta: float = 0.25
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.delta < 0.5:
-            raise DomainError("delta must lie in (0, 1/2)")
-        if self.a <= 0 or self.c <= 0:
-            raise DomainError("constants must be positive")
-
-
-@record
 class DiscrepancyRecord:
     orbit_order: int
     orbit_size: int
@@ -293,58 +275,20 @@ class DiscrepancyRecord:
     orbit_average: float
     integral_value: float
     discrepancy: float
-    bound_rhs: float | None
-    hypothesis_holds: bool | None
 
 
-def discrepancy(
-    orbit: PreperiodicOrbit,
-    beta,
-    place: Place = ARCH,
-    constants: DecayConstants | None = None,
-) -> DiscrepancyRecord:
-    """|orbit average - integral| of lambda at one place, with the decay
-    bound C |P|^(-delta) sqrt(log|P|) A (h(beta) + log+|beta|_v + 1) and the
-    max-proximity hypothesis A (h(beta)+1) |P|^(1/2-delta) when constants
-    are supplied."""
+def discrepancy(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> DiscrepancyRecord:
+    """|orbit average - integral| of lambda at one place, the orbit average
+    read from the exact pairing value F_N (``orbit_lambda_average``)."""
     avg = orbit_lambda_average(orbit, beta, place)
     integral = lambda_integral(beta, place)
-    disc = abs(avg - integral)
-    bound = None
-    hyp = None
-    if constants is not None:
-        beta_q = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-        h = weil_height_rational(beta_q).value
-        size = orbit.size
-        if place.is_archimedean:
-            log_plus_v = math.log(abs(float(beta_q))) if abs(beta_q) > 1 else 0.0
-            prox = arch_proximity(orbit, beta_q)
-        else:
-            v = padic_valuation(beta_q, place.p)
-            log_plus_v = -v * math.log(place.p) if v < 0 else 0.0
-            vals = [
-                x
-                for x in newton_polygon_valuations(orbit_shift_poly(orbit, beta_q), place.p)
-                if x is not math.inf
-            ]
-            prox = float(max(vals)) * math.log(place.p) if vals else 0.0
-        bound = (
-            constants.c
-            * size ** (-constants.delta)
-            * math.sqrt(math.log(size))
-            * constants.a
-            * (h + log_plus_v + 1)
-        ) if size > 1 else None
-        hyp = prox < constants.a * (h + 1) * size ** (0.5 - constants.delta)
     return DiscrepancyRecord(
         orbit_order=orbit.order,
         orbit_size=orbit.size,
         place=str(place),
         orbit_average=avg,
         integral_value=integral,
-        discrepancy=disc,
-        bound_rhs=bound,
-        hypothesis_holds=hyp,
+        discrepancy=abs(avg - integral),
     )
 
 
@@ -413,12 +357,13 @@ def _root_logs(beta: Fraction, n_max: int) -> tuple[list[float], list[float]]:
     return logs, errs
 
 
-def real_place_defects(beta, n_max: int) -> tuple[list[int], list[float], list[float]]:
-    """(sizes, delta, bound) for 0 <= N <= n_max, rational beta: the orbit
-    size |P| (phi(N)/2, 1 for N <= 2), the signed real-place discrepancy
-    delta_N = avg_N - int lambda dmu of the order-N orbit (avg_N the mean of
-    lambda_{sigma(alpha), inf}(beta) over it), and a bound on the error of
-    delta_N; index 0 is a placeholder.
+def real_place_defects(beta, n_max: int) -> tuple[list[float], list[float]]:
+    """(delta, bound) for 0 <= N <= n_max, rational beta: the signed
+    real-place discrepancy delta_N = avg_N - int lambda dmu of the order-N
+    orbit (avg_N the mean of lambda_{sigma(alpha), inf}(beta) over it), and
+    a bound on the error of delta_N; index 0 is a placeholder. phi(N) is
+    read from the arithmetic table (``factorint.arithmetic_table``), so the
+    two Moebius sums are of the terms and of their error bounds.
 
     The product formula reads avg_N = h(beta) + h(alpha_N) - log|F_N| / |P|
     (``real_place_lambda_average``). Put into it h(beta) = log s + log+|beta|
@@ -458,33 +403,30 @@ def real_place_defects(beta, n_max: int) -> tuple[list[int], list[float], list[f
         t = e - 2.0 * ell
         terms.append(t)
         errs.append(e_err + 2.0 * ell_err + _U * abs(t) + kappa_err)
-    phi = moebius_sums(range(n_max + 1), n_max, sum)
+    phi = arithmetic_table(n_max).phi
     sums = moebius_sums(terms, n_max)
     spread = moebius_sums(errs, n_max, lambda ts: math.fsum(map(abs, ts)))
-    sizes, delta, bound = [0], [0.0], [0.0]
-    for n, f, total, err in zip(range(1, n_max + 1), phi[1:], sums[1:], spread[1:]):
+    delta, bound = [0.0], [0.0]
+    for f, total, err in zip(phi[1 : n_max + 1], sums[1:], spread[1:]):
         v = total / f
-        sizes.append(f // 2 if n >= 3 else 1)
         delta.append(v)
         bound.append(1.01 * ((err + _U * abs(total)) / f + _U * abs(v)))
-    return sizes, delta, bound
+    return delta, bound
 
 
 def arch_discrepancy_fast(beta, n: int) -> DiscrepancyRecord:
     """Real-place discrepancy record of the order-n orbit against a rational
     beta: the one-order case of ``real_place_defects``, the orbit average
     read as the integral plus delta_n."""
-    sizes, delta, _ = real_place_defects(beta, n)
+    delta, _ = real_place_defects(beta, n)
     integral = lambda_integral(beta, ARCH)
     return DiscrepancyRecord(
         orbit_order=n,
-        orbit_size=sizes[n],
+        orbit_size=orbit_size(n),
         place="inf",
         orbit_average=integral + delta[n],
         integral_value=integral,
         discrepancy=abs(delta[n]),
-        bound_rhs=None,
-        hypothesis_holds=None,
     )
 
 
@@ -503,11 +445,11 @@ def equidist_rows(beta, place: Place, orders) -> list[tuple[int, int, float]]:
     if not orders:
         return []
     if place.is_archimedean:
-        sizes, delta, _ = real_place_defects(beta, max(orders))
-        return [(n, sizes[n], abs(delta[n])) for n in orders]
+        delta, _ = real_place_defects(beta, max(orders))
+        return [(n, orbit_size(n), abs(delta[n])) for n in orders]
     sieve = PairingSieve(beta, max(orders), (place.p,))
     p, log_p = place.p, math.log(place.p)
-    return [(n, size, float(sieve.valuation(n, p)) * log_p / size) for n, size in zip(orders, map(sieve.orbit_size, orders))]
+    return [(n, size, float(sieve.valuation(n, p)) * log_p / size) for n, size in zip(orders, map(orbit_size, orders))]
 
 
 def _dyadic_integers(logs) -> tuple[list[int], int]:

@@ -1,4 +1,8 @@
-"""Integer factorization, primality, totient and p-adic valuations.
+"""Integer factorization, primality, the arithmetic table and p-adic valuations.
+
+One linear sieve gives the least prime factor, the Moebius function, the
+totient and the primes of every k up to a limit that doubles on demand;
+every arithmetic function of an order reads that table.
 
 Factorization is deterministic: trial division by the primes below 1000,
 then Brent's cycle-finding rho with a fixed parameter sequence. This is
@@ -9,31 +13,80 @@ fixed schedule keeps every report reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-
-#: largest argument of ``primes_upto``
-TRIAL_LIMIT = 10 ** 6
+from .records import record
 
 # strong-pseudoprime bases making Miller-Rabin deterministic below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+
+
+@record
+class ArithmeticTable:
+    """spf(k) (k >= 2), mu(k) and phi(k) for 0 <= k <= limit (0 at k = 0),
+    and the primes up to limit in order."""
+
+    limit: int
+    spf: list
+    mu: list
+    phi: list
+    primes: list
+
+
+def _linear_sieve(limit: int) -> ArithmeticTable:
+    """The table to limit by the linear sieve (Gries & Misra, CACM 21, 1978):
+    each composite i p is struck once, from its least prime factor p. Along
+    the way mu(i p) = -mu(i) and phi(i p) = phi(i) (p - 1) for p < spf(i),
+    and mu(i p) = 0 and phi(i p) = phi(i) p for p = spf(i)."""
+    spf = [0] * (limit + 1)
+    mu = [0] * (limit + 1)
+    phi = [0] * (limit + 1)
+    mu[1] = phi[1] = 1
+    primes = []
+    for i in range(2, limit + 1):
+        if not spf[i]:
+            spf[i], mu[i], phi[i] = i, -1, i - 1
+            primes.append(i)
+        least, m, f = spf[i], mu[i], phi[i]
+        for p in primes:
+            ip = i * p
+            if ip > limit:
+                break
+            spf[ip] = p
+            if p == least:
+                phi[ip] = f * p
+                break
+            mu[ip] = -m
+            phi[ip] = f * (p - 1)
+    return ArithmeticTable(limit, spf, mu, phi, primes)
+
+
+#: the one table every arithmetic function reads; it starts past the primes
+#: below 1000 that ``factorize`` and ``algebraic`` divide by
+_TABLE = _linear_sieve(1 << 10)
+
+
+def arithmetic_table(n: int) -> ArithmeticTable:
+    """The table through n. Past its limit, the limit doubles until it
+    reaches n and the new table replaces the old in one assignment, so a
+    reader never sees a half-built table."""
+    global _TABLE
+    table = _TABLE
+    if n > table.limit:
+        limit = table.limit
+        while limit < n:
+            limit *= 2
+        table = _TABLE = _linear_sieve(limit)
+    return table
 
 
 def primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by a sieve of Eratosthenes; n <= TRIAL_LIMIT."""
-    if n < 2:
-        return []
-    if n > TRIAL_LIMIT:
-        raise DomainError(f"prime table capped at {TRIAL_LIMIT}")
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i in range(n + 1) if sieve[i]]
+    """The primes p <= n."""
+    primes = arithmetic_table(n).primes
+    return primes[: bisect_right(primes, n)]
 
 
 #: primes that ``factorize`` divides out before rho; rho finds a factor p in
@@ -142,12 +195,10 @@ def factor_counts(n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=1 << 17)
 def euler_phi(n: int) -> int:
+    """phi(n), read from the arithmetic table."""
     if n < 1:
         raise DomainError("totient needs n >= 1")
-    result = n
-    for p in set(factorize(n)) if n > 1 else ():
-        result = result // p * (p - 1)
-    return result
+    return arithmetic_table(n).phi[n]
 
 
 def padic_valuation(q, p: int):

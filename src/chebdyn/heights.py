@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, algebraic_number
-from .chebyshev import ChebMap, is_preperiodic_rational, moebius_divisors
+from .chebyshev import ChebMap, is_preperiodic_rational, moebius_divisors, orbit_size
 from .errors import ChebdynError, DomainError, PrecisionError
 from .numerics import ApproxComplex
 from .records import record
@@ -315,12 +315,11 @@ def orbit_generator_heights(orders) -> list[HeightValue]:
             log2 = math.log(2.0)
             out.append(HeightValue(log2, 2 * _U * log2, "mahler-numeric"))
             continue
-        terms, err, phi, series_phi = [], 0.0, 0, 0
+        terms, err, phi, series_phi = [], 0.0, 2 * orbit_size(n), 0
         for d, mu in moebius_divisors(n):
             e, e_err = _orbit_height_defect(d)
             terms.append(mu * e)
             err += e_err
-            phi += mu * d
             if d >= DEFECT_SERIES_FROM:
                 series_phi += mu * d
         s = math.fsum(terms)
@@ -536,9 +535,24 @@ class SampledBeta:
 
 def sample_betas(rng: random.Random, trials: int, height_cap: float, degree_cap: int) -> list[SampledBeta]:
     """Deterministic mixed sample of rational and quadratic wandering points
-    of Weil height at most height_cap (the uniform-count experiment's draw)."""
+    of Weil height at most height_cap (the uniform-count experiment's draw).
+
+    Raises DomainError when no such point can be drawn: degree_cap < 1, a
+    negative cap, a cap below log 2 for rationals alone (no wandering
+    rational has a smaller height, while the quadratic i has height 0), or
+    a cap whose e^cap overflows a double."""
+    if degree_cap < 1:
+        raise DomainError("the degree cap must be at least 1")
+    floor = math.log(2) if degree_cap == 1 else 0.0
+    if height_cap + 1e-9 < floor:
+        raise DomainError(
+            f"no wandering point of degree <= {degree_cap} has Weil height <= {height_cap} (the least is {floor:.6g})"
+        )
+    try:
+        bound = max(3, int(math.exp(height_cap)))
+    except OverflowError:
+        raise DomainError(f"height cap {height_cap} is too large: e^cap overflows a double") from None
     out: list[SampledBeta] = []
-    bound = max(3, int(math.exp(height_cap)))
     while len(out) < trials:
         want_quadratic = degree_cap >= 2 and rng.random() < 0.5
         if not want_quadratic:

@@ -32,6 +32,7 @@ from .chebyshev import (
     conjugates_fast,
     is_preperiodic_rational,
     moebius_sums,
+    orbit_size,
     preperiodic_orbit,
     symmetric_coeffs,
 )
@@ -342,8 +343,9 @@ class PairingSieve:
     is lost; every reader is sign-free. The cost is one recurrence to n_max
     plus the divisor sums, against a recurrence to the orbit size per N for
     ``pairing_value``. The divisor sums of every N come from one walk over
-    multiples (``chebyshev.moebius_sums``): exact for the valuations and
-    orbit sizes, math.fsum for log|F_N|. log|F_N| serves only the
+    multiples (``chebyshev.moebius_sums``) per quantity: exact for the
+    valuations, math.fsum for log|F_N|; orbit sizes come from
+    ``chebyshev.orbit_size``. log|F_N| serves only the
     S-integrality verdict (``scan_orbits``, to COFACTOR_LOG_CUTOFF); a
     real-place orbit average reads the same product in closed form, with no
     big integer (``equidist.real_place_defects``).
@@ -371,7 +373,6 @@ class PairingSieve:
                 if g_d % p == 0:
                     vals[d] = padic_valuation(g_d, p)
         halves = [1, 1, 1] + [2] * (n_max - 2)
-        self._size = [phi // half for phi, half in zip(moebius_sums(range(n_max + 1), n_max, sum), halves)]
         self._log = [v / half for v, half in zip(moebius_sums(log_g, n_max), halves)]
         self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max, sum), halves)] for p, vals in val_g.items()}
 
@@ -382,11 +383,6 @@ class PairingSieve:
     def valuation(self, n: int, p: int) -> int:
         """v_p(F_n) for one of the sieve's primes."""
         return self._val[p][n]
-
-    def orbit_size(self, n: int) -> int:
-        """|P| = phi(n)/2 (1 for n <= 2), from the divisor sum the pass
-        already walks; ``chebyshev.orbit_size`` serves single orders."""
-        return self._size[n]
 
 
 def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
@@ -410,7 +406,7 @@ def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
         vals = [sieve.valuation(n, p) for p in stripped]
         if sieve.log_abs(n) - sum(v * lp for v, lp in zip(vals, logs)) >= COFACTOR_LOG_CUTOFF:
             continue
-        size = sieve.orbit_size(n)
+        size = orbit_size(n)
         rows.append((n, size, {p: e for p, e in zip(s_fin, vals) if e}))
         if size > size_threshold:
             exceptional += 1

@@ -21,7 +21,7 @@ from chebdyn import (
     proximity_bound_check,
     resultant,
 )
-from chebdyn import chebyshev, heights
+from chebdyn import chebyshev, factorint, heights
 from chebdyn.chebyshev import (
     ORBIT_COS_ERROR,
     ChebMap,
@@ -38,6 +38,7 @@ from chebdyn.chebyshev import (
     orbit_value,
     preperiodic_order_of_minpoly,
 )
+from chebdyn.factorint import arithmetic_table, primes_upto
 
 
 def test_cheb_poly_examples():
@@ -257,13 +258,23 @@ def test_orbit_expands_psi_n_only_when_read():
     assert halved_minpoly.cache_info().misses == 1
 
 
-def test_distinct_primes_across_table_growth(monkeypatch):
-    # start from the smallest table, so the sweep crosses its growth steps
-    monkeypatch.setattr(chebyshev, "_SPF", None)
-    monkeypatch.setattr(chebyshev, "_SPF_LIMIT", 1 << 14)
+def test_arithmetic_table_across_growth(monkeypatch):
+    # start from the smallest table, so the sweep crosses every doubling to
+    # 1 << 16: spf (through distinct_primes) against factorization, mu
+    # against the divisor walk, phi and the primes against sympy
+    monkeypatch.setattr(factorint, "_TABLE", factorint._linear_sieve(1 << 10))
+    limits = set()
     for n in range(2, 40001):
         assert distinct_primes(n) == sorted(factor_counts(n)), n
-    assert chebyshev._SPF_LIMIT == 1 << 16
+        table = arithmetic_table(n)
+        limits.add(table.limit)
+        assert table.mu[n] == dict(moebius_divisors(n)).get(1, 0), n
+    assert limits == {1 << k for k in range(10, 17)}
+    rng = random.Random(2903)
+    for n in [1, 2, 1024, 1025, 2048, 2049, 40000, *rng.sample(range(3, 40001), 400)]:
+        assert table.phi[n] == sympy.totient(n), n
+    assert table.primes == list(sympy.primerange(2, table.limit + 1))
+    assert primes_upto(40000) == list(sympy.primerange(2, 40001))
 
 
 def test_moebius_sums_match_the_divisor_lists():

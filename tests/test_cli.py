@@ -394,6 +394,31 @@ def test_cubic_irreducibility_runs_without_sympy():
     assert not sympy_loaded
 
 
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        (["--Dcap", "1", "--height-cap", "0.5"], "the least is 0.693147"),
+        (["--Dcap", "2", "--height-cap", "-0.5"], "the least is 0"),
+        (["--height-cap", "1000"], "overflows"),
+        (["--Dcap", "0"], "degree cap"),
+    ],
+)
+def test_theorem2_rejects_caps_with_nothing_to_sample(caps, message):
+    # no wandering rational has height below log 2 and no point below 0, so
+    # the draw would never end; e^1000 overflows a double; no beta has
+    # degree 0. A subprocess with a timeout, so a draw that never ends fails.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chebdyn.cli", "theorem2", "--S", "inf,2", "--Nmax", "20", "--trials", "2", *caps],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr, proc.stderr
+
+
 def test_bench_tracer_resolves_traced_names(tmp_path):
     # the tracer wraps functions by name and rebinds module globals, so it
     # runs in its own interpreter; a renamed traced function breaks it here.

@@ -9,6 +9,7 @@ import pytest
 from chebdyn import (
     ARCH,
     DomainError,
+    PairingSieve,
     Place,
     PreperiodicInputError,
     algebraic_number,
@@ -25,7 +26,6 @@ from chebdyn import (
     weil_height_rational,
 )
 from chebdyn.equidist import (
-    DecayConstants,
     arch_discrepancy_fast,
     equidist_rows,
     fitted_slope,
@@ -182,11 +182,10 @@ def test_measure_invariance():
 
 
 def test_discrepancy_records():
-    rec = discrepancy(preperiodic_orbit(5), 3, ARCH, DecayConstants(c=1.0, delta=0.25, a=1.0))
+    rec = discrepancy(preperiodic_orbit(5), 3, ARCH)
     integral = lambda_integral(3, ARCH)
     assert abs(rec.orbit_average - 0.14027056479872602) < 1e-12
     assert abs(rec.discrepancy - abs(rec.orbit_average - integral)) < 1e-15
-    assert rec.bound_rhs is not None and rec.hypothesis_holds is not None
 
     rec4 = discrepancy(preperiodic_orbit(4), 3, ARCH)
     assert rec4.orbit_average == 0.0  # delta(0, 3) = 3/3 = 1
@@ -274,14 +273,13 @@ def test_real_place_rows_within_their_bound_of_the_mpmath_mean():
     worst = 0.0
     for beta, n0 in grid:
         n_max = max(2 * n0, 420)
-        sizes, delta, bound = real_place_defects(beta, n_max)
+        delta, bound = real_place_defects(beta, n_max)
         rows = equidist_rows(beta, ARCH, range(1, n_max + 1))
         orders = {1, 2, 3, 4, 5, 6, 12, 30, 210, 420, n0, 2 * n0, *rng.sample(range(7, n_max + 1), 6)}
         for n in sorted(orders):
             want = _real_place_delta(beta, n)
             assert abs(delta[n] - want) <= bound[n], (beta, n, float(delta[n] - want), bound[n])
-            assert rows[n - 1] == (n, sizes[n], abs(delta[n]))
-            assert sizes[n] == orbit_size(n)
+            assert rows[n - 1] == (n, orbit_size(n), abs(delta[n]))
             worst = max(worst, bound[n])
     assert worst < 1e-13  # the bounds stay tight, even next to a conjugate
 
@@ -303,7 +301,7 @@ def test_real_place_rows_escalate_next_to_a_conjugate(monkeypatch):
 
     monkeypatch.setattr(equidist, "_scaled_chebyshev", counting)
     n_max = 60
-    _, delta, bound = real_place_defects(beta, n_max)
+    delta, bound = real_place_defects(beta, n_max)
     assert len(passes) == 1
     for n in range(1, n_max + 1):
         want = _real_place_delta(beta, n, dps=60)
@@ -349,10 +347,30 @@ def test_lambda_integral_keeps_its_digits_for_large_beta():
         assert lambda_integral(beta, ARCH) == math.log(max(abs(beta), 1)) + log_plus_integral()
 
 
+def test_sweeps_walk_one_moebius_sum_per_quantity(monkeypatch):
+    # phi comes from the arithmetic table, so a real-place sweep sums only
+    # its terms and their error bounds, and the pairing sieve its logs and
+    # one valuation list per prime
+    calls = []
+    real = equidist.moebius_sums
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(equidist, "moebius_sums", counting)
+    monkeypatch.setattr(integrality, "moebius_sums", counting)
+    real_place_defects(Fraction(54497, 28758), 3000)
+    assert calls == [3000, 3000]
+    calls.clear()
+    primes = (2, 3, 5)
+    PairingSieve(Fraction(97, 89), 300, primes)
+    assert calls == [300] * (1 + len(primes))
+
+
 def test_real_place_rows_factor_nothing(monkeypatch):
-    # every orbit size comes from the Moebius divisor sum, so a real-place
-    # sweep to N = 3000 runs no factorization (an orbit size read through
-    # euler_phi would factor every N: 2998 calls)
+    # every orbit size and phi(N) comes from the arithmetic table, so a
+    # real-place sweep to N = 3000 runs no factorization
     calls = []
     real = factorint.factorize
 
@@ -441,8 +459,3 @@ def test_az_estimate_consistency():
 def test_az_rejects_preperiodic():
     with pytest.raises(PreperiodicInputError):
         az_pairing_estimate(2, 10)
-
-
-def test_decay_constants_validation():
-    with pytest.raises(Exception):
-        DecayConstants(delta=0.7)
