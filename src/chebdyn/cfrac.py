@@ -27,9 +27,20 @@ class ConvergentList:
     truncated: bool
 
 
-def _to_interval(theta) -> tuple[Fraction, Fraction]:
-    import mpmath as mp
+def _exact(x) -> Fraction:
+    """x as an exact rational: an int or Fraction as it is, a float's binary
+    value, and an mpmath mpf's (mpmath is only read when it made x)."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if hasattr(x, "_mpf_"):
+        import mpmath as mp
 
+        num, den = mp.libmp.to_rational(x._mpf_)
+        return Fraction(int(num), int(den))
+    return Fraction(float(x))
+
+
+def _to_interval(theta) -> tuple[Fraction, Fraction]:
     if isinstance(theta, (int, Fraction)):
         q = Fraction(theta)
         return q, q
@@ -39,12 +50,7 @@ def _to_interval(theta) -> tuple[Fraction, Fraction]:
         center, err = theta
     else:
         raise DomainError(f"unsupported input for continued fractions: {theta!r}")
-    if isinstance(center, mp.mpf):
-        num, den = mp.libmp.to_rational(center._mpf_)
-        c = Fraction(int(num), int(den))
-    else:
-        c = Fraction(float(center))
-    e = Fraction(float(err)) if not isinstance(err, Fraction) else err
+    c, e = _exact(center), _exact(err)
     if e < 0:
         raise DomainError("negative error bound")
     return c - e, c + e
@@ -54,7 +60,8 @@ def cf_convergents(theta, n_max: int) -> ConvergentList:
     """Continued fraction convergents of theta with denominators <= n_max.
 
     theta may be an int/Fraction (exact), an ApproxReal, or a pair
-    (value, error_bound) where value is a float or mpf.
+    (value, error_bound) of ints, Fractions, floats or mpfs, each read
+    exactly.
     """
     if n_max < 1:
         raise DomainError("denominator cap must be positive")

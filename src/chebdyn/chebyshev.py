@@ -33,7 +33,8 @@ from .records import record
 # cyclotomic polynomials (exact integers, one truncated power series)
 # ---------------------------------------------------------------------------
 
-#: orders whose Moebius divisor lists stay cached (most recently used)
+#: orders whose Moebius divisor lists, cyclotomic halves, T_n, minimal
+#: polynomials and orbits stay cached (most recently used)
 MOEBIUS_CACHE_SIZE = 1 << 13
 
 
@@ -82,7 +83,7 @@ def moebius_sums(values, n_max: int, total=math.fsum) -> list:
     return [total(t) for t in terms]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
 def _cyclotomic_half(n: int) -> tuple[int, ...]:
     """c_0..c_m of Phi_n for n >= 3, m = phi(n)/2: the lower half of the
     palindrome.
@@ -135,7 +136,7 @@ def symmetric_coeffs(n: int) -> tuple[int, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
 def cheb_poly(n: int) -> IntPoly:
     """T_n as an integer polynomial (T_1 = x, T_2 = x^2 - 2)."""
     if n < 1:
@@ -220,7 +221,7 @@ def _pk(k: int) -> list[int]:
     return _PK_CACHE[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
 def halved_minpoly(n: int) -> IntPoly:
     """Monic minimal polynomial of 2 cos(2 pi / n) over Q, exact."""
     m, dk = symmetric_coeffs(n)
@@ -251,14 +252,19 @@ def halved_minpoly(n: int) -> IntPoly:
 ORBIT_COS_ERROR = 2.2e-15
 
 
-def conjugates_fast(n: int) -> list[float]:
-    """The conjugates 2 cos(2 pi a / n), gcd(a, n) = 1, 1 <= a <= n/2, as
-    floats: each within ORBIT_COS_ERROR, and exact for n <= 2. The a are
-    ``preperiodic_orbit(n).a_values``, so an order is sieved once per process."""
+def conjugate_fast(a: int, n: int) -> float:
+    """2 cos(2 pi a / n) as a float, within ORBIT_COS_ERROR, and exact for
+    n <= 2 (a = 1 there)."""
     if n <= 2:
-        return [2.0 if n == 1 else -2.0]
-    two_pi = 2.0 * math.pi
-    return [2.0 * math.cos(two_pi * a / n) for a in preperiodic_orbit(n).a_values]
+        return 2.0 if n == 1 else -2.0
+    return 2.0 * math.cos(2.0 * math.pi * a / n)
+
+
+def conjugates_fast(n: int) -> list[float]:
+    """The conjugates ``conjugate_fast(a, n)``, gcd(a, n) = 1, 1 <= a <= n/2.
+    The a are ``preperiodic_orbit(n).a_values``, so an order is sieved once
+    per process."""
+    return [conjugate_fast(a, n) for a in preperiodic_orbit(n).a_values]
 
 
 @record
@@ -296,7 +302,7 @@ class PreperiodicOrbit:
         return cos_two_pi(self.a_values[i], self.order, prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
 def preperiodic_orbit(n: int) -> PreperiodicOrbit:
     """The order-n orbit: its size and the residues a of its conjugates."""
     if n < 1:

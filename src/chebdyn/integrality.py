@@ -29,7 +29,7 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber
 from .chebyshev import (
     PreperiodicOrbit,
-    conjugates_fast,
+    conjugate_fast,
     is_preperiodic_rational,
     moebius_sums,
     orbit_size,
@@ -39,7 +39,7 @@ from .chebyshev import (
 from .errors import CoincidentPointsError, DomainError, PrecisionError, PreperiodicInputError
 from .factorint import factor_counts, is_prime, padic_valuation
 from .intpoly import IntPoly, resultant
-from .numerics import precision_ladder
+from .numerics import cos_two_pi, precision_ladder
 from .records import record
 
 
@@ -564,37 +564,67 @@ def near_orbit_scan(beta, p: int, n_max: int, eps: float = 0.5) -> NearOrbitRepo
 # ---------------------------------------------------------------------------
 
 
-def arch_proximity(orbit: PreperiodicOrbit, beta) -> float:
-    """max over conjugates of -log|sigma(alpha) - beta| at the real place.
+def _nearest_residues(order: int, x: float) -> list[int]:
+    """The a, gcd(a, N) = 1 and 1 <= a <= N/2, among which 2 cos(2 pi a / N)
+    comes nearest to the real x, for N = ``order``: a range of them,
+    ascending.
 
-    Escalates the conjugate precision when beta sits inside the float
-    uncertainty of a conjugate; a genuine coincidence (zero pairing value)
-    raises.
+    On [0, N/2], 2 cos(2 pi a / N) decreases in a, so its distance to x
+    falls up to a* = N acos(x/2) / (2 pi) (x clamped to [-2, 2]) and rises
+    after it. The float a* is off by far less than one residue, so the true
+    a* lies in [floor(a*) - 1, ceil(a*) + 1]; the range runs from the
+    coprime a at or below that window's foot to the one at or above its
+    top (clipped to [1, N/2]), and every coprime a outside it lies farther
+    from x than the range's end on its side."""
+    if order <= 2:
+        return [1]
+    half = order // 2
+    a_star = order * math.acos(max(-1.0, min(1.0, x / 2))) / (2 * math.pi)
+    lo = min(max(math.floor(a_star) - 1, 1), half)
+    hi = max(min(math.ceil(a_star) + 1, half), lo)
+    while math.gcd(lo, order) != 1:
+        lo -= 1
+    while hi < half and math.gcd(hi, order) != 1:
+        hi += 1
+    return [a for a in range(lo, hi + 1) if math.gcd(a, order) == 1]
+
+
+def arch_proximity(order: int, beta) -> float:
+    """max over the conjugates of the order-N orbit of -log|sigma(alpha) -
+    beta| at the real place.
+
+    |x - beta| for real x is |x - Re beta| in the real direction, so the
+    nearest conjugate is among ``_nearest_residues(N, Re beta)``. Each is
+    evaluated by ``chebyshev.conjugate_fast``, the float of
+    ``conjugates_fast``, so the gap is the float that the minimum over the
+    whole orbit gives, and ties go to the least a as there.
+
+    Escalates when beta sits inside the float uncertainty of that
+    conjugate: a genuine coincidence (zero pairing value) raises, and
+    otherwise ``numerics.cos_two_pi`` recomputes the conjugate on the
+    precision ladder.
     """
     if isinstance(beta, AlgebraicNumber):
         b, berr = complex(beta.embedding.value), beta.embedding.error_bound
     else:
         beta = Fraction(beta)
         b, berr = complex(beta), abs(float(beta)) * 2e-16
-    gaps = [abs(x - b) for x in conjugates_fast(orbit.order)]
-    gap = min(gaps)
+    gap, a = min((abs(conjugate_fast(a, order) - b), a) for a in _nearest_residues(order, b.real))
     if gap > 1e-6 + 8 * berr:
         return -math.log(gap)
     # conjugate too close for float64: rule out beta being a conjugate
-    # exactly, then recompute the gap to the first nearest one at high
-    # precision
+    # exactly, then recompute the gap to the nearest one at high precision
     import mpmath as mp
 
-    pairing_value(orbit.order, beta)
-    i = gaps.index(gap)
+    pairing_value(order, beta)
     for prec in precision_ladder(128):
-        c = orbit.conjugate_mp(i, prec)
+        c = cos_two_pi(a, order, prec)
         with mp.workprec(prec):
             gap = abs(c - mp.mpc(b))
             tolerance = mp.mpf(2) ** (8 - prec) + berr
             if gap > 4 * tolerance:
                 return float(-mp.log(gap))
     raise PrecisionError(
-        f"beta is numerically indistinguishable from a conjugate of orbit {orbit.order}",
+        f"beta is numerically indistinguishable from a conjugate of orbit {order}",
         best=None,
     )

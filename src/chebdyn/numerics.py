@@ -2,8 +2,9 @@
 
 All numeric quantities that stand for an exact real or complex number are
 carried together with a rigorous bound on the distance to that number.
-High-precision work is delegated to mpmath; the exported records hold
-ordinary floats so reports stay plain JSON.
+High-precision work runs in fixed point on Python integers where a closed
+form exists (quadratic roots, unit-circle angles) and in mpmath elsewhere;
+the exported records hold ordinary floats so reports stay plain JSON.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def precision_ladder(start: int = 64):
         if prec >= ceiling:
             return
         prec *= 2
+
+
+def round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer (halves up), for d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    return (2 * n + d) // (2 * d)
 
 
 @record

@@ -1,8 +1,13 @@
 """Certified complex root approximation for integer polynomials.
 
-Roots are located by simultaneous iteration (mpmath's polyroots) at a
-working precision that doubles on failure; each approximation is then
-wrapped in an a posteriori inclusion disc of radius
+A quadratic's roots come from the integers in closed form: the square root
+of the discriminant by ``math.isqrt`` at P fractional bits, the small real
+root by Vieta, each root rounded once to a float, with a derived fixed-point
+error (``_quadratic_roots``). No mpmath is loaded for them.
+
+At degree >= 3 roots are located by simultaneous iteration (mpmath's
+polyroots) at a working precision that doubles on failure; each
+approximation is then wrapped in an a posteriori inclusion disc of radius
 
     n * |f(z)| / |f'(z)|
 
@@ -18,9 +23,12 @@ root-subset test; otherwise the embedding is certified on first read.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import DomainError, PrecisionError
 from .intpoly import IntPoly, resultant
-from .numerics import ApproxComplex, FLOAT_EPS, precision_ladder
+from .numerics import ApproxComplex, FLOAT_EPS, precision_ladder, round_div
 from .records import record
 
 
@@ -53,7 +61,9 @@ def is_squarefree(f: IntPoly) -> bool:
 class CertifiedRoots:
     """The roots of a squarefree integer polynomial at working precision
     ``prec``: the disc of radius radii[i] about roots[i] (mpmath values, in
-    mpmath's root order) holds exactly one root."""
+    mpmath's root order) holds exactly one root. A quadratic's roots are
+    floats, each rounded once from a ``prec``-bit fixed point that radii[i]
+    bounds; ``floats`` adds the rounding term."""
 
     roots: tuple
     radii: tuple
@@ -87,16 +97,71 @@ def complex_roots(f: IntPoly, precision: float = 1e-12) -> list[ApproxComplex]:
     return certified_roots(f, precision).floats()
 
 
-def certified_roots(f: IntPoly, precision: float = 1e-12) -> CertifiedRoots:
-    """The roots behind ``complex_roots``, kept at their working precision."""
-    import mpmath as mp
+def _quadratic_roots(f: IntPoly, prec: int) -> CertifiedRoots | None:
+    """The roots of a squarefree a x^2 + b x + c from its integers, at
+    ``prec`` = P >= 128 fractional bits; every error below is in units of
+    2^-P, with s = 2^P and D = b^2 - 4ac != 0.
 
+    - D > 0: S = isqrt(D s^2) lies within 1 of sqrt(D) s, so Q = b s +
+      sgn(b) S lies within 1 of Q* = (b + sgn(b) sqrt(D)) s, with no
+      cancellation, and |Q*| >= sqrt(D) s >= s. The large root -Q* / (2 a s)
+      is read as round(-Q / (2 a)): within 1/(2|a|) + 1/2 <= 1. The small
+      root c / (a x_1) = -2 c s / Q* (Vieta) is read as round(-2 c s^2 / Q):
+      the quotient moves by at most |x_2| s / |Q| <= |x_2| (1 + 2^(1-P)),
+      and rounding adds 1/2.
+    - D < 0: the real part -b / (2a) is exact, so its float is correctly
+      rounded; S = isqrt(-D s^2), and the imaginary part +-sqrt(-D) / (2|a|)
+      is read as round(S / (2|a|)), within 1.
+
+    So each root x lies within (|x| + 1) 2^(1-P) of its fixed point: that is
+    its radius, rounded up. Each fixed point is rounded once to a float by
+    an exact integer division (correctly rounded). The roots lie sqrt(|D|)
+    / |a| >= 1 / |a| apart (f is squarefree, so D != 0); None unless each
+    radius is below half of that, which makes the discs disjoint.
+    """
+    c, b, a = f.coeffs
+    s = 1 << prec
+    disc = b * b - 4 * a * c
+    if disc > 0:
+        q = b * s + (math.isqrt(disc * s * s) if b >= 0 else -math.isqrt(disc * s * s))
+        big, small = round_div(-q, 2 * a), round_div(-2 * c * s * s, q)
+        roots = [complex(big / s), complex(small / s)]
+    else:
+        im = round_div(math.isqrt(-disc * s * s), 2 * abs(a)) / s
+        re = float(Fraction(-b, 2 * a))
+        roots = [complex(re, -im), complex(re, im)]
+    radii = [math.ldexp(abs(z) + 1.0, 1 - prec) * (1 + 2.0**-50) for z in roots]
+    if 2 * max(radii) * abs(a) >= 1:
+        return None
+    return CertifiedRoots(tuple(roots), tuple(radii), prec)
+
+
+def certified_roots(f: IntPoly, precision: float = 1e-12) -> CertifiedRoots:
+    """The roots behind ``complex_roots``, kept at their working precision.
+
+    A quadratic's roots come from ``_quadratic_roots`` at P = 128, 256, ...
+    up to the ceiling, with no mpmath."""
     if f.is_zero:
         raise DomainError("zero polynomial has no well-defined root set")
     if f.degree == 0:
         return CertifiedRoots((), (), 53)
     if not is_squarefree(f):
         raise DomainError("polynomial must be squarefree (separate the square part first)")
+    if f.degree == 2:
+        best = None
+        for prec in precision_ladder(128):
+            found = _quadratic_roots(f, prec)
+            if found is None:
+                continue
+            if max(found.radii) <= precision:
+                return found
+            best = found
+        raise PrecisionError(
+            f"could not certify roots to {precision:g} within the precision ceiling",
+            best=best.floats() if best is not None else None,
+        )
+
+    import mpmath as mp
 
     n = f.degree
     coeffs_high = list(reversed(f.coeffs))

@@ -3,21 +3,29 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from chebdyn import algebraic, heights, roots
+import angle_oracle
+from chebdyn import algebraic, baker, heights, roots
+from chebdyn.chebyshev import conjugates_fast, preperiodic_orbit
+from chebdyn.numerics import cos_two_pi, precision_ladder
 
 from chebdyn import (
     BakerInstance,
     DomainError,
+    PrecisionError,
     PreperiodicInputError,
     algebraic_number,
     angle_rational_gap,
     assembled_constant,
+    arch_proximity,
     baker_lower_bound,
+    cf_convergents,
     certified_angle,
     convergent_scan,
+    pairing_value,
     proximity_bound_check,
     weil_height_algebraic,
 )
@@ -219,9 +227,9 @@ def test_convergent_scan_finds_the_roots_of_beta_once(monkeypatch):
     assert len(calls) <= 1
 
 
-def test_proximity_check_reads_each_orders_residues_once(monkeypatch):
-    # arch_proximity and the real-beta sandwich both take their conjugates
-    # from the residues preperiodic_orbit(n) holds, so no order sieves twice
+def test_proximity_check_lists_no_residues(monkeypatch):
+    # arch_proximity reads the few residues nearest beta and the sandwich
+    # reads the two ends of the orbit, so no order sieves its residues
     from chebdyn import chebyshev
 
     calls = []
@@ -229,7 +237,127 @@ def test_proximity_check_reads_each_orders_residues_once(monkeypatch):
     monkeypatch.setattr(chebyshev, "coprime_residues_half", lambda n: calls.append(n) or sieve(n))
     for beta in (Fraction(7, 3), algebraic_number([7, 3, 7], 0), algebraic_number([1, -5, 1], 1)):
         chebyshev.preperiodic_orbit.cache_clear()
-        calls.clear()
         pc = proximity_bound_check(beta, 400, eps=0.1)
-        assert len(calls) <= 400 and len(set(calls)) == len(calls), beta
+        assert calls == [], beta
     assert pc.sandwich_ok is True  # the sandwich did run on the real beta outside [-2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point angle and the nearest conjugates against their oracles
+# ---------------------------------------------------------------------------
+
+#: every beta a bench ``baker`` op draws: a x^2 + b x + a, 2 <= a <= 9,
+#: |b| < 2a, gcd(a, b) = 1, both embeddings
+BENCH_BETAS = [
+    algebraic_number([a, b, a], index)
+    for a in range(2, 10)
+    for b in range(1 - 2 * a, 2 * a)
+    if math.gcd(a, b) == 1
+    for index in (0, 1)
+]
+#: a Salem quartic's conjugate on the unit circle: its embedding comes from
+#: mpmath's certified roots and its angle from the same Newton step
+SALEM = algebraic_number([1, -1, -1, -1, 1], 1)
+
+
+def _oracle_explicit_constant(beta, eps, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(baker, "certified_angle", angle_oracle.certified_angle_mp)
+        return assembled_constant(beta, eps)
+
+
+def test_angle_and_scan_equal_the_mpmath_oracle(monkeypatch):
+    assert len(BENCH_BETAS) == 216
+    rows = 0
+    for beta in [*BENCH_BETAS, SALEM]:
+        for prec in (128, 192):
+            theta, err = certified_angle(beta, prec)
+            assert theta.denominator <= 1 << prec and err.denominator <= 1 << prec
+            oracle, oracle_err = angle_oracle.certified_angle_mp(beta, prec)
+            assert float(theta) == float(oracle), (beta, prec)
+            with mp.workprec(2 * prec):
+                gap = abs(mp.mpf(theta.numerator) / theta.denominator - oracle)
+                assert gap <= mp.mpf(err.numerator) / err.denominator + oracle_err, (beta, prec)
+        scan = convergent_scan(beta, 10000, 0.1)
+        expect, calibrated = angle_oracle.convergent_rows(beta, 10000, 0.1, scan.c_eps)
+        assert [(r.a, r.n, r.lhs, r.rhs, r.status) for r in scan.records] == expect, beta
+        assert scan.calibrated_constant == calibrated, beta
+        assert scan.explicit_constant == _oracle_explicit_constant(beta, 0.1, monkeypatch), beta
+        rows += len(expect)
+    assert rows > 1600
+
+
+def test_angle_error_is_a_few_units_of_its_precision():
+    for beta in (BENCH_BETAS[0], BENCH_BETAS[-1], SALEM):
+        for prec in (128, 192, 256):
+            _, err = certified_angle(beta, prec)
+            assert 0 < err * (1 << prec) <= 8
+
+
+def test_angle_gap_raises_when_the_ceiling_is_hit(monkeypatch):
+    # a convergent with a 2^100 denominator lies about 2^-200 from theta_0:
+    # under a 192-bit ceiling its gap sits inside the angle's error bound,
+    # and at 256 bits it is resolved
+    beta = algebraic_number([5, 7, 5], 0)
+    theta, err = certified_angle(beta, 400)
+    a, n = cf_convergents((theta, err), 1 << 100).convergents[-1]
+    assert n > 1 << 90
+    monkeypatch.setenv("CHEB_PRECISION_BITS", "192")
+    with pytest.raises(PrecisionError):
+        angle_rational_gap(beta, a, n, 0.1, 1.0)
+    monkeypatch.setenv("CHEB_PRECISION_BITS", "256")
+    assert angle_rational_gap(beta, a, n, 0.1, 1.0).lhs < -130
+
+
+def _brute_proximity(order, beta):
+    """The former arch_proximity: the minimum over every conjugate of
+    ``conjugates_fast``, escalating through the first nearest one."""
+    if isinstance(beta, Fraction):
+        b, berr = complex(beta), abs(float(beta)) * 2e-16
+    else:
+        b, berr = complex(beta.embedding.value), beta.embedding.error_bound
+    gaps = [abs(x - b) for x in conjugates_fast(order)]
+    gap = min(gaps)
+    if gap > 1e-6 + 8 * berr:
+        return -math.log(gap)
+    pairing_value(order, beta)
+    a = preperiodic_orbit(order).a_values[gaps.index(gap)]
+    for prec in precision_ladder(128):
+        c = cos_two_pi(a, order, prec)
+        with mp.workprec(prec):
+            gap = abs(c - mp.mpc(b))
+            if gap > 4 * (mp.mpf(2) ** (8 - prec) + berr):
+                return float(-mp.log(gap))
+    raise PrecisionError("unresolved", best=None)
+
+
+def _near_conjugate(a, n, distance):
+    """A rational within about ``distance`` of 2 cos(2 pi a / n)."""
+    q = round(1 / distance)
+    return Fraction(round(2 * math.cos(2 * math.pi * a / n) * q), q) + Fraction(1, 3 * q)
+
+
+def test_arch_proximity_equals_the_minimum_over_every_conjugate():
+    rng = random.Random(31)
+    real = [Fraction(rng.randint(-900, 900), rng.randint(1, 300)) for _ in range(40)]
+    real = [q for q in real if abs(q) not in (0, 1, 2)]
+    assert any(abs(q) > 2 for q in real) and any(abs(q) < 2 for q in real)
+    near = [_near_conjugate(a, n, 10.0**-k) for a, n, k in ((1, 7, 9), (3, 10, 8), (5, 24, 9), (17, 60, 7))]
+    for beta in [*BENCH_BETAS, algebraic_number([1, -5, 1], 1), *real, *near]:
+        for order in range(1, 401):
+            assert arch_proximity(order, beta) == _brute_proximity(order, beta), (beta, order)
+    # the near betas do take the escalation path at their own orders
+    for beta, order in zip(near, (7, 10, 24, 60)):
+        gap = min(abs(x - float(beta)) for x in conjugates_fast(order))
+        assert gap < 1e-6
+
+
+def test_proximity_sandwich_reads_the_orbit_ends():
+    for beta in (Fraction(7, 3), Fraction(-9, 4), Fraction(2001, 1000), algebraic_number([1, -5, 1], 1)):
+        b = complex(beta) if isinstance(beta, Fraction) else beta.embedding.value
+        pc = proximity_bound_check(beta, 300, eps=0.1)
+        ok = all(
+            abs(b.real) - 2 - 1e-9 <= min(gaps) and max(gaps) <= abs(b.real) + 2 + 1e-9
+            for gaps in ([abs(x - b) for x in conjugates_fast(n)] for n in range(1, 301))
+        )
+        assert pc.sandwich_ok is ok is True, beta

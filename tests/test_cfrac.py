@@ -56,3 +56,12 @@ def test_negative_value():
 def test_bad_cap():
     with pytest.raises(DomainError):
         cf_convergents(Fraction(1, 2), 0)
+
+
+def test_exact_centre_keeps_its_digits():
+    # a 200-bit dyadic centre with a zero radius is the rational itself: its
+    # expansion must not stop at a float's 53 bits
+    theta = Fraction(math.isqrt(2 << 400) - (1 << 200), 1 << 200)  # sqrt(2) - 1, 200 bits
+    exact = cf_convergents(theta, 10**12)
+    assert cf_convergents((theta, Fraction(0)), 10**12) == exact
+    assert exact.convergents[-1][1] > 10**11

@@ -380,3 +380,15 @@ def test_orbit_norm_quadratic_rejects_nonpositive_order():
 def test_conjugates_inside_julia_interval():
     for n in range(1, 301):
         assert all(abs(c.value) <= 2 + 1e-12 for c in preperiodic_orbit(n).conjugates)
+
+
+def test_order_caches_are_bounded():
+    # a long sweep must not keep every order's polynomials and orbits
+    for fn in (
+        chebyshev.moebius_divisors,
+        chebyshev._cyclotomic_half,
+        chebyshev.cheb_poly,
+        chebyshev.halved_minpoly,
+        chebyshev.preperiodic_orbit,
+    ):
+        assert fn.cache_info().maxsize == chebyshev.MOEBIUS_CACHE_SIZE, fn

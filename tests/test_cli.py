@@ -348,15 +348,24 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         # real-place rows read each h(alpha_N) from a Moebius sum of closed
         # forms and kappa is a constant, so no conjugate pass or quadrature
         ["equidist", "--beta", "7/3", "--place", "inf", "--Nmax", "50"],
+        # a quadratic's roots come from isqrt, and baker's angle from a
+        # fixed-point Newton step, arctangent and pi, its gaps from integers
+        # and its nearest conjugates from libm
+        ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
+        ["baker", "--beta", "poly:7,3,7@0", "--eps", "0.1", "--Nmax", "200", "--prox-Nmax", "60"],
+        ["baker", "--beta=poly:5,7,5@0", "--eps=0.1", "--prox-Nmax=400"],
+        ["height", "--beta=poly:4,3,5@0"],
+        # the Mahler measure of each sampled quadratic reads the same roots
+        ["theorem2", "--S=inf,2,7", "--Dcap=2", "--trials=6", "--Nmax=300", "--seed=221047"],
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
     # numpy now loads only in ``orbit``, for its psi_N residual and mod-p
-    # checks. baker reads the angle of beta through mpmath, and its grid
-    # maximum and orbit conjugates through libm, so no baker op loads numpy
+    # checks. Roots of degree >= 3 still come from mpmath: a quartic height,
+    # and the angle of a Salem conjugate on the unit circle
     for argv in (
-        ["baker", "--beta", "poly:5,-6,5@1", "--eps", "0.1", "--Nmax", "200"],
-        ["baker", "--beta", "poly:7,3,7@0", "--eps", "0.1", "--Nmax", "200", "--prox-Nmax", "60"],
+        ["height", "--beta=poly:1,-1,-1,-1,1@1"],
+        ["baker", "--beta=poly:1,-1,-1,-1,1@1", "--eps=0.1", "--Nmax=200"],
     ):
         after_import, code, loaded = _heavy_modules(argv)
         assert after_import == [] and code == 0, argv

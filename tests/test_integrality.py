@@ -362,11 +362,10 @@ def test_near_orbit_rejects_preperiodic():
 
 
 def test_arch_proximity_examples():
-    o5 = preperiodic_orbit(5)
     expect = -math.log(3 - 2 * math.cos(2 * math.pi / 5))
-    assert abs(arch_proximity(o5, 3) - expect) < 1e-12
-    assert abs(arch_proximity(preperiodic_orbit(1), 10) + math.log(8)) < 1e-12
-    near = arch_proximity(o5, Fraction(6181, 10000))
+    assert abs(arch_proximity(5, 3) - expect) < 1e-12
+    assert abs(arch_proximity(1, 10) + math.log(8)) < 1e-12
+    near = arch_proximity(5, Fraction(6181, 10000))
     assert 9 < near < 10.5
     with pytest.raises(PreperiodicInputError):
-        arch_proximity(preperiodic_orbit(1), 2)
+        arch_proximity(1, 2)

@@ -75,3 +75,39 @@ def test_precision_ceiling_failure_carries_best(monkeypatch):
     with pytest.raises(PrecisionError) as err:
         complex_roots(IntPoly.of(-1, 1, 1), 1e-40)
     assert err.value.best is not None  # best achieved approximation preserved
+
+
+def test_quadratic_roots_and_heights_against_a_60_digit_oracle():
+    # every quadratic that sample_betas can draw (a <= 6, |b|, |c| <= 12,
+    # primitive, irreducible): the roots come from isqrt in closed form, each
+    # the float nearest the exact root, within its bound, and the Mahler
+    # height reads those floats
+    from chebdyn import DomainError as Reducible, algebraic_number, weil_height_algebraic
+
+    count = 0
+    for a in range(1, 7):
+        for b in range(-12, 13):
+            for c in range(-12, 13):
+                if math.gcd(math.gcd(a, b), c) != 1:
+                    continue
+                try:
+                    beta = algebraic_number([c, b, a], 0)
+                except Reducible:
+                    continue
+                count += 1
+                with mp.workdps(60):
+                    disc = mp.sqrt(mp.mpf(b * b - 4 * a * c))
+                    exact = sorted(
+                        [(-b - disc) / (2 * a), (-b + disc) / (2 * a)],
+                        key=lambda z: (float(mp.re(z)), float(mp.im(z))),
+                    )
+                    roots = complex_roots(beta.minpoly, 1e-13)
+                    for r, x in zip(roots, exact):
+                        assert r.value == complex(float(mp.re(x)), float(mp.im(x))), (a, b, c)
+                        assert abs(mp.mpc(r.value) - x) <= r.error_bound, (a, b, c)
+                    h = weil_height_algebraic(beta)
+                    log_plus = [math.log(abs(r.value)) for r in roots if abs(r.value) > 1.0]
+                    assert h.value == (math.log(a) + sum(log_plus)) / 2, (a, b, c)
+                    true_h = (mp.log(a) + sum(mp.log(max(1, abs(x))) for x in exact)) / 2
+                    assert abs(true_h - h.value) <= h.error_bound, (a, b, c)
+    assert count > 2500
