@@ -21,10 +21,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from operator import sub
+from operator import mul, sub
 
 from .errors import DomainError
-from .factorint import arithmetic_table
+from .factorint import arithmetic_table, primes_upto
 from .intpoly import IntPoly
 from .numerics import ApproxReal, cos_two_pi
 from .records import record
@@ -63,24 +63,34 @@ def moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def moebius_sums(values, n_max: int, total=math.fsum) -> list:
-    """total([mu(N/d) values[d] for d | N]) for 0 <= N <= n_max (total([])
-    at N = 0), values indexed from 1.
+def moebius_sums(values, n_max: int, step=sub) -> list:
+    """sum_{d | N} mu(N/d) values[d] for 0 <= N <= n_max (0 at N = 0), values
+    indexed from 1; with step=add, sum_{d | N} |mu(N/d)| values[d], the sum
+    of the absolute terms for nonnegative values.
 
-    One walk over the multiples N = k d of each squarefree k, so a sweep
-    over every N costs sum_k n_max / k steps, against a divisor list per N.
-    The default total, math.fsum, rounds the exact sum once, so a float sum
-    does not depend on the order of its terms; ``sum`` keeps integers exact.
+    One slice pass per prime p <= n_max replaces f(N) by f(N) - f(N/p) at
+    every multiple N of p (f(N) + f(N/p) for add), the right-hand slice a
+    copy taken before the pass; after the last prime, f(N) is the sum over
+    the squarefree N/d. The cost is sum_p n_max / p element steps, about
+    n_max log log n_max, against a divisor list per N.
+
+    Integers stay exact. Floats are scaled exactly to integers over one
+    power of two (``as_integer_ratio``, so subnormals and huge values keep
+    every bit), summed as integers and divided once: int true division
+    rounds correctly, so each output is the exact sum rounded once, as
+    math.fsum of the terms rounds it, and 0.0 for a zero sum.
     """
-    mu = arithmetic_table(n_max).mu
-    terms = [[] for _ in range(n_max + 1)]
-    negated = [-v for v in values[: n_max + 1]]
-    for k in range(1, n_max + 1):
-        if mu[k]:
-            source = values if mu[k] > 0 else negated
-            for term, v in zip(terms[k::k], source[1 : n_max // k + 1]):
-                term.append(v)
-    return [total(t) for t in terms]
+    f = list(values[: n_max + 1])
+    scale = 0
+    if any(isinstance(v, float) for v in f):
+        ratios = [v.as_integer_ratio() for v in f]
+        bits = max(den for _, den in ratios).bit_length()
+        scale = 1 << (bits - 1)  # every den is a power of two at most this
+        f = [num << (bits - den.bit_length()) for num, den in ratios]
+    f[0] = 0
+    for p in primes_upto(n_max):
+        f[p::p] = map(step, f[p::p], f[1 : n_max // p + 1])
+    return [v / scale for v in f] if scale else f
 
 
 @lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
@@ -458,21 +468,29 @@ def orbit_norm_quadratic(n: int, f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def minpoly_conjugate_residuals(n: int) -> np.ndarray:
+def minpoly_conjugate_residuals(n: int) -> list[float]:
     """|psi_n| at each conjugate, evaluated through the symmetric form.
 
     Writing psi_n(x) = d_0 + sum d_k T_k(x) and T_k(2 cos t) = 2 cos(k t)
     keeps every term O(1), so the residual is a faithful float measure of
     the construction instead of a catastrophic cancellation artifact.
-    """
-    import numpy as np
 
+    At x = 2 cos(2 pi a / n) the term of d_k reads 2 cos(2 pi r / n) for
+    r = a k mod n, reduced exactly, from one table of the n values of libm's
+    ``math.cos``. So the cost is n cosines and, per conjugate, one product
+    per nonzero d_k with k >= 1. Each residual is the math.fsum of d_0 and
+    then the products d_k 2 cos(2 pi r / n) in ascending k: their exact sum,
+    rounded once.
+    """
     m, dk = symmetric_coeffs(n)
-    ks = sorted(k for k in dk if k)  # a fixed summation order
-    es = np.array([dk[k] for k in ks], dtype=np.float64)
-    a = np.array(coprime_residues_half(n), dtype=np.float64)
-    vals = 2.0 * np.cos(np.outer(a, ks) * (2 * np.pi / n)) @ es
-    return np.abs(vals + dk.get(0, 0))
+    ks = sorted(k for k in dk if k)
+    es = [dk[k] for k in ks]
+    d0 = dk.get(0, 0)
+    cosines = [2.0 * math.cos(2.0 * math.pi * r / n) for r in range(n)]
+    return [
+        abs(math.fsum([d0, *map(mul, es, [cosines[a * k % n] for k in ks])]))
+        for a in coprime_residues_half(n)
+    ]
 
 
 def minpoly_spot_checks(n: int) -> bool:
@@ -505,39 +523,32 @@ _IDENTITY_PRIME = 2147483647
 
 
 def minpoly_identity_mod(n: int, p: int = _IDENTITY_PRIME) -> bool:
-    """Check z^m psi_n(z + 1/z) == Phi_n(z) modulo p (vectorized).
+    """Check z^m psi_n(z + 1/z) == Phi_n(z) modulo p, for a prime p.
 
-    A Horner pass multiplying by (z^2 + 1) per step rebuilds the left side
-    as a Laurent numerator; equality mod a 31-bit prime is a sharp
-    consistency check between the monomial coefficients and the cyclotomic
-    source (exact equality over Z is covered separately for moderate n).
-    p must stay below 2^61 so that int64 holds a step.
+    With psi_n = sum_j b_j x^j, the left side is sum_j b_j z^(m-j) (1 + z^2)^j,
+    built by Horner's rule h <- (1 + z^2) h + b_j z^(m-j) for j = m-1, ..., 0
+    from h = b_m on one Kronecker-packed Python integer, a slot of w bits per
+    coefficient. With every b_j reduced into [0, p), each coefficient of each
+    h is a nonnegative integer below p sum_j 2^j < p 2^(m+1), so a slot of
+    w >= p.bit_length() + m + 1 bits never carries into the next. A step is
+    two shifts and two additions of integers of at most (2m + 1) w bits, so
+    the cost is O(m^2 (m + log p)) bit operations, then one reduction mod p
+    per slot. Equality mod a 31-bit prime is a sharp consistency check
+    between the monomial coefficients and the cyclotomic source (exact
+    equality over Z is covered separately for moderate n).
     """
-    import numpy as np
-
     if n <= 2:
         return True
-    b = [x % p for x in halved_minpoly(n).coeffs]
+    b = [c % p for c in halved_minpoly(n).coeffs]
     m = len(b) - 1
-    # k steps from entries below p leave them below 2^(k+1) p, so int64 holds
-    # ``lazy`` steps between reductions
-    lazy = 62 - p.bit_length()
-    h = np.zeros(2 * m + 1, dtype=np.int64)
-    g = np.zeros_like(h)
-    h[0] = b[m]
-    ln = 1
+    width = (p.bit_length() + m + 8) // 8  # bytes per slot
+    slot = 8 * width
+    h = b[m]
     for j in range(m - 1, -1, -1):
-        # g = (1 + z^2) h + b_j z^(m-j); each buffer is still zero past the
-        # length it last held, so the two swap with no allocation
-        np.add(h[2 : ln + 2], h[:ln], out=g[2 : ln + 2])
-        g[:2] = h[:2]
-        g[m - j] += b[j]
-        h, g = g, h
-        ln += 2
-        if (m - j) % lazy == 0:
-            h %= p
-    h %= p
-    return h.tolist() == [c % p for c in cyclotomic_coeffs(n)]
+        h += (h << 2 * slot) + (b[j] << (m - j) * slot)
+    packed = h.to_bytes((2 * m + 1) * width, "little")
+    got = [int.from_bytes(packed[i : i + width], "little") % p for i in range(0, len(packed), width)]
+    return got == [c % p for c in cyclotomic_coeffs(n)]
 
 
 def minpoly_identity_exact(n: int) -> bool:

@@ -153,7 +153,7 @@ def _emit(report, args, csv_payload=None):
 def cmd_orbit(args):
     n = args.N
     orbit = preperiodic_orbit(n)
-    residual = float(minpoly_conjugate_residuals(n).max())
+    residual = max(minpoly_conjugate_residuals(n))
     conjugates = conjugates_fast(n)
     checks = [
         make_check("minpoly-monic", orbit.minpoly.is_monic, orbit.minpoly.coeffs[-1], 1),

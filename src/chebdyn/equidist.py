@@ -388,7 +388,7 @@ def real_place_defects(beta, n_max: int) -> tuple[list[float], list[float]]:
     kappa_f), at the cost of two roundings; above it, E(d) is against kappa.
     Error bound: each term t_d = fl(E(d) - 2 L(d)) is off by err(E(d)) +
     2 err(L(d)) + u |t_d|, plus that correction's cost; the Moebius sum S
-    is math.fsum's (``chebyshev.moebius_sums``), rounded once, u |S|, and
+    is exact and rounded once (``chebyshev.moebius_sums``), u |S|, and
     the division by phi(N) once more, u |delta_N|. The 1% pad covers the
     rounding of the bound.
     """
@@ -405,7 +405,7 @@ def real_place_defects(beta, n_max: int) -> tuple[list[float], list[float]]:
         errs.append(e_err + 2.0 * ell_err + _U * abs(t) + kappa_err)
     phi = arithmetic_table(n_max).phi
     sums = moebius_sums(terms, n_max)
-    spread = moebius_sums(errs, n_max, lambda ts: math.fsum(map(abs, ts)))
+    spread = moebius_sums(errs, n_max, operator.add)
     delta, bound = [0.0], [0.0]
     for f, total, err in zip(phi[1 : n_max + 1], sums[1:], spread[1:]):
         v = total / f

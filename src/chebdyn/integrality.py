@@ -317,9 +317,9 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
 #: integer cofactor away from the primes p of S and of lc(f_beta), is below
 #: this cutoff: the cofactor is 1 (log 0) or at least 2 (log 0.693). The
 #: float error is far smaller, at every degree of beta: log|F_N| is half
-#: the math.fsum of at most 2^omega(N) terms +-log|G_d| (``PairingSieve``),
+#: the sum of at most 2^omega(N) terms +-log|G_d| (``PairingSieve``),
 #: each math.log of an exact integer with relative error below 2^-50, and
-#: fsum rounds their exact sum once, so it is off by at most
+#: ``moebius_sums`` rounds their exact sum once, so it is off by at most
 #: 2^omega(N) max_d log|G_d| 2^-50 + 2^-53 log|F_N|; the valuations are exact
 #: integers, and the stripped part adds at most |S| + omega(lc) products
 #: v_p log p, each rounded as finely. That stays below 1e-6 while
@@ -342,10 +342,10 @@ class PairingSieve:
     log|G_d| and v_p(G_d) for the given primes are kept, so the sign of F_N
     is lost; every reader is sign-free. The cost is one recurrence to n_max
     plus the divisor sums, against a recurrence to the orbit size per N for
-    ``pairing_value``. The divisor sums of every N come from one walk over
-    multiples (``chebyshev.moebius_sums``) per quantity: exact for the
-    valuations, math.fsum for log|F_N|; orbit sizes come from
-    ``chebyshev.orbit_size``. log|F_N| serves only the
+    ``pairing_value``. The divisor sums of every N come from one sieve pass
+    (``chebyshev.moebius_sums``) per quantity: exact for the valuations, and
+    for log|F_N| the exact sum rounded once, built only when first read;
+    orbit sizes come from ``chebyshev.orbit_size``. log|F_N| serves only the
     S-integrality verdict (``scan_orbits``, to COFACTOR_LOG_CUTOFF); a
     real-place orbit average reads the same product in closed form, with no
     big integer (``equidist.real_place_defects``).
@@ -372,12 +372,16 @@ class PairingSieve:
             for p, vals in val_g.items():
                 if g_d % p == 0:
                     vals[d] = padic_valuation(g_d, p)
-        halves = [1, 1, 1] + [2] * (n_max - 2)
-        self._log = [v / half for v, half in zip(moebius_sums(log_g, n_max), halves)]
-        self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max, sum), halves)] for p, vals in val_g.items()}
+        self._halves = [1, 1, 1] + [2] * (n_max - 2)
+        self._log_g, self._log = log_g, None
+        self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max), self._halves)] for p, vals in val_g.items()}
 
     def log_abs(self, n: int) -> float:
-        """log|F_n|."""
+        """log|F_n|. The sums are built on the first read, as some sweeps
+        read only valuations (``near_orbit_scan``, finite-place rows)."""
+        if self._log is None:
+            sums = moebius_sums(self._log_g, len(self._log_g) - 1)
+            self._log = [v / half for v, half in zip(sums, self._halves)]
         return self._log[n]
 
     def valuation(self, n: int, p: int) -> int:

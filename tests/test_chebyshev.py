@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import mpmath as mp
 import pytest
 import sympy
 
+import minpoly_oracle
 from chebdyn import (
     DomainError,
     IntPoly,
@@ -30,6 +32,7 @@ from chebdyn.chebyshev import (
     distinct_primes,
     halved_minpoly,
     is_preperiodic_dynamic,
+    minpoly_conjugate_residuals,
     minpoly_identity_exact,
     minpoly_identity_mod,
     moebius_divisors,
@@ -141,6 +144,34 @@ def test_minpoly_identity_mod_random_orders():
     rng = random.Random(71)
     for n in rng.sample(range(201, 1001), 60):
         assert minpoly_identity_mod(n), n
+
+
+#: every order to 300 and every 7th one to 1000
+_ORACLE_ORDERS = [*range(1, 301), *range(301, 1001, 7)]
+
+
+def test_psi_checks_match_the_numpy_oracles():
+    # the pure-Python residual sums the same symmetric form with each angle
+    # reduced mod n exactly, so it sits within 1e-11 of the numpy oracle's
+    for n in _ORACLE_ORDERS:
+        assert minpoly_identity_mod(n) and minpoly_oracle.minpoly_identity_mod(n), n
+        got = max(minpoly_conjugate_residuals(n))
+        want = float(minpoly_oracle.minpoly_conjugate_residuals(n).max())
+        assert got <= 1e-9 and abs(got - want) <= 1e-11, (n, got, want)
+        assert len(minpoly_conjugate_residuals(n)) == orbit_size(n), n
+
+
+def test_psi_identity_mod_p_sees_one_coefficient_off_by_one(monkeypatch):
+    for n in (7, 132, 997):
+        coeffs = halved_minpoly(n).coeffs
+        for i in sorted({0, 1, len(coeffs) // 2, len(coeffs) - 2}):
+            bad = list(coeffs)
+            bad[i] += 1
+            monkeypatch.setattr(chebyshev, "halved_minpoly", lambda _, bad=bad: IntPoly(tuple(bad)))
+            assert not minpoly_identity_mod(n), (n, i)
+            assert not minpoly_identity_mod(n, 3), (n, i)
+        monkeypatch.undo()
+        assert minpoly_identity_mod(n) and minpoly_identity_mod(n, 3), n
 
 
 def _scaled_cosines(n: int, bits: int) -> list[int]:
@@ -278,19 +309,28 @@ def test_arithmetic_table_across_growth(monkeypatch):
 
 
 def test_moebius_sums_match_the_divisor_lists():
-    # one walk over multiples against a divisor list per N, for every
-    # N <= 5000: integers exactly, floats as math.fsum rounds the same terms
-    n_max = 5000
+    # one sieve pass per prime against a divisor list per N: integers
+    # exactly, floats equal to math.fsum of the same terms, the exact sum
+    # rounded once, down to subnormals and up to 1e300
     rng = random.Random(4409)
-    floats = [0.0] + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 3) for _ in range(n_max)]
-    ints = [0] + [rng.randint(-(10**30), 10**30) for _ in range(n_max)]
-    got_f, got_i = moebius_sums(floats, n_max), moebius_sums(ints, n_max, sum)
-    got_phi = moebius_sums(range(n_max + 1), n_max, sum)
-    for n in range(1, n_max + 1):
-        terms = moebius_divisors(n)
-        assert got_f[n] == math.fsum(mu * floats[d] for d, mu in terms), n
-        assert got_i[n] == sum(mu * ints[d] for d, mu in terms), n
-        assert got_phi[n] == (2 * orbit_size(n) if n >= 3 else 1), n
+    edge = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.0, -3.0]
+    for n_max in (1, 2, 3, 500, 3000):
+        floats = [0.0] + [
+            rng.choice(edge) if rng.random() < 0.3 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 3)
+            for _ in range(n_max)
+        ]
+        ints = [0] + [rng.choice((0, rng.randint(-(10**30), 10**30))) for _ in range(n_max)]
+        got_f, got_i = moebius_sums(floats, n_max), moebius_sums(ints, n_max)
+        spread = moebius_sums([abs(v) for v in floats], n_max, operator.add)
+        got_phi = moebius_sums(range(n_max + 1), n_max)
+        assert got_f[0] == 0.0 and got_i[0] == 0 and len(got_f) == len(got_i) == n_max + 1
+        for n in range(1, n_max + 1):
+            terms = moebius_divisors(n)
+            assert got_f[n] == math.fsum(mu * floats[d] for d, mu in terms), (n_max, n)
+            assert spread[n] == math.fsum(abs(floats[d]) for d, _ in terms), (n_max, n)
+            assert got_i[n] == sum(mu * ints[d] for d, mu in terms), (n_max, n)
+            assert type(got_f[n]) is float and type(got_i[n]) is int
+            assert got_phi[n] == (2 * orbit_size(n) if n >= 3 else 1), n
 
 
 def test_orbit_closure_under_dynamics():

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -248,18 +249,19 @@ def test_beta_grammar():
         parse_places("inf,9")
 
 
-# Runs main() on each argv in a fresh interpreter, optionally with sympy made
-# unimportable, and prints [sympy loaded after import, [[exit, stdout], ...],
-# sympy loaded at the end] as JSON.
+# Runs main() on each argv in a fresh interpreter, optionally with one module
+# made unimportable, and prints [module loaded after import, [[exit, stdout],
+# ...], module loaded at the end] as JSON.
 _FRESH_RUN = """
 import contextlib, io, json, sys
+module = sys.argv[2]
 if sys.argv[1] == "block":
-    sys.modules["sympy"] = None
+    sys.modules[module] = None
 import chebdyn.cli
-loaded = lambda: sys.modules.get("sympy") is not None
+loaded = lambda: sys.modules.get(module) is not None
 after_import = loaded()
 runs = []
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[3]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([chebdyn.cli.main(argv), out.getvalue()])
@@ -267,19 +269,19 @@ print(json.dumps([after_import, runs, loaded()]))
 """
 
 
-def _run_script(script, *args):
+def _run_script(script, *args, cwd=None):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=300, check=True,
     )
     return json.loads(proc.stdout)
 
 
-def _fresh_run(mode, argvs):
-    return _run_script(_FRESH_RUN, mode, json.dumps(argvs))
+def _fresh_run(mode, argvs, module="sympy", cwd=None):
+    return _run_script(_FRESH_RUN, mode, module, json.dumps(argvs), cwd=cwd)
 
 
 def test_sympy_stays_off_rational_and_quadratic_paths():
@@ -335,6 +337,10 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         # g is read from the integers, however close to 2 or large beta is
         ["canonical-height", "--beta=2000000000000001/1000000000000000"],
         ["equidist", f"--beta={HUGE_BETA}", "--Nmax", "5"],
+        # psi_N's residual and its identity mod p are checked in Python
+        # floats and integers
+        ["orbit", "--N", "7"],
+        ["orbit", "--N=132"],
         # Phi_N is a plain-integer power series, so no pairing reads numpy
         ["sintegral", "--beta", "3", "--N", "5", "--S", "inf,11"],
         ["cor33", "--beta", "3", "--p", "11", "--Nmax", "100"],
@@ -360,9 +366,8 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
     ]
     for argv in exact:
         assert _heavy_modules(argv) == [[], 0, []], argv
-    # numpy now loads only in ``orbit``, for its psi_N residual and mod-p
-    # checks. Roots of degree >= 3 still come from mpmath: a quartic height,
-    # and the angle of a Salem conjugate on the unit circle
+    # roots of degree >= 3 still come from mpmath: a quartic height, and the
+    # angle of a Salem conjugate on the unit circle
     for argv in (
         ["height", "--beta=poly:1,-1,-1,-1,1@1"],
         ["baker", "--beta=poly:1,-1,-1,-1,1@1", "--eps=0.1", "--Nmax=200"],
@@ -370,6 +375,41 @@ def test_numpy_and_mpmath_load_only_in_the_ops_that_read_them():
         after_import, code, loaded = _heavy_modules(argv)
         assert after_import == [] and code == 0, argv
         assert "mpmath" in loaded and "numpy" not in loaded and "sympy" not in loaded, argv
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line) for line in block.strip().splitlines()]
+    assert argvs and all(argv[0] == "chebdyn" for argv in argvs)
+    return [argv[1:] for argv in argvs]
+
+
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
+    # one argv per subcommand, then the README examples, with numpy made
+    # unimportable and without: the same exit codes and report bytes
+    argvs = [
+        ["orbit", "--N=132"],
+        ["cheb", "--n", "6", "--at", "3/7"],
+        ["height", "--beta=poly:1,-1,-1,-1,1@1"],
+        ["canonical-height", "--beta", "poly:5,-6,5@1"],
+        ["sintegral", "--beta", "poly:-1,1,3@1", "--N", "12", "--S", "inf,2,3"],
+        ["scan", "--beta", "7/3", "--S", "inf,3", "--Nmax", "40"],
+        ["equidist", "--beta=-11/7", "--place", "3", "--Nmax", "60"],
+        ["baker", "--beta=poly:1,-1,-1,-1,1@1", "--eps=0.1", "--Nmax=200"],
+        ["cor33", "--beta", "5/2", "--p", "3", "--Nmax", "60"],
+        ["theorem2", "--S", "inf,2,3", "--trials", "3", "--Nmax", "40", "--seed", "5"],
+        *_readme_examples(),
+    ]
+    commands = {"orbit", "cheb", "height", "canonical-height", "sintegral", "scan", "equidist", "baker", "cor33", "theorem2"}
+    assert {argv[0] for argv in argvs} == commands
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "plain").mkdir()
+    _, blocked, _ = _fresh_run("block", argvs, "numpy", cwd=tmp_path / "blocked")
+    plain_import, plain, plain_end = _fresh_run("plain", argvs, "numpy", cwd=tmp_path / "plain")
+    assert not plain_import and not plain_end  # no op above loaded numpy
+    assert [code for code, _ in plain] == [0] * len(argvs)
+    assert blocked == plain
 
 
 def test_no_module_imports_numpy_mpmath_or_sympy_at_load():
