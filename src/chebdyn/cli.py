@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -520,54 +521,46 @@ def cmd_theorem2(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="chebdyn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output", help="write the JSON report here (default: stdout)")
-        p.add_argument("--csv", help="write the CSV table here (where applicable)")
-
-    p = sub.add_parser("orbit", help="exact preperiodic orbit data for one order N")
+def _orbit_args(p):
     p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_orbit)
+    return cmd_orbit
 
-    p = sub.add_parser("cheb", help="Chebyshev polynomial coefficients and exact evaluation")
+
+def _cheb_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--at", help="rational point to evaluate at")
-    common(p)
-    p.set_defaults(func=cmd_cheb)
+    return cmd_cheb
 
-    p = sub.add_parser("height", help="Weil height of a rational or algebraic number")
+
+def _height_args(p):
     p.add_argument("--beta", required=True)
-    common(p)
-    p.set_defaults(func=cmd_height)
+    return cmd_height
 
-    p = sub.add_parser("canonical-height", help="canonical height in closed form (local heights), with the h vs h_phi gap")
+
+def _canonical_height_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--tol", type=finite_float, default=1e-9)
-    common(p)
-    p.set_defaults(func=cmd_canonical_height)
+    return cmd_canonical_height
 
-    p = sub.add_parser("sintegral", help="exact S-integrality verdict for one orbit")
+
+def _sintegral_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--S", required=True, help='comma list of places, e.g. "inf,2,3"')
-    common(p)
-    p.set_defaults(func=cmd_sintegral)
+    return cmd_sintegral
 
-    p = sub.add_parser("scan", help="sweep orbits N <= Nmax for S-integrality")
+
+def _scan_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--S", required=True)
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT,
                    help="c in the exceptional-orbit size cutoff c*D^12")
-    common(p)
-    p.set_defaults(func=cmd_scan)
+    return cmd_scan
 
-    p = sub.add_parser("equidist", help="orbit-average vs integral discrepancies")
+
+def _equidist_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--Nmin", type=int, default=1)
@@ -575,10 +568,10 @@ def build_parser() -> _Parser:
     p.add_argument("--primes-only", action="store_true")
     p.add_argument("--slope-bound", type=finite_float, default=None,
                    help="emit a pass/fail check on the fitted log-log slope")
-    common(p)
-    p.set_defaults(func=cmd_equidist)
+    return cmd_equidist
 
-    p = sub.add_parser("baker", help="two-log lower bound along CF convergents of the angle")
+
+def _baker_args(p):
     p.add_argument("--beta", required=True, help="poly:... algebraic point on the unit circle")
     p.add_argument("--eps", type=finite_float, default=0.1)
     p.add_argument("--ceps", type=finite_float, default=None,
@@ -588,18 +581,18 @@ def build_parser() -> _Parser:
                    help="also check the per-orbit proximity bound up to this order")
     p.add_argument("--prox-eps", type=finite_float, default=0.5)
     p.add_argument("--prox-ceps", type=finite_float, default=4.0)
-    common(p)
-    p.set_defaults(func=cmd_baker)
+    return cmd_baker
 
-    p = sub.add_parser("cor33", help="p-adically near orbits scan (at most one expected)")
+
+def _cor33_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--eps", type=finite_float, default=0.5)
-    common(p)
-    p.set_defaults(func=cmd_cor33)
+    return cmd_cor33
 
-    p = sub.add_parser("theorem2", help="seeded uniform-count experiment over sampled beta")
+
+def _theorem2_args(p):
     p.add_argument("--S", required=True)
     p.add_argument("--Dcap", type=int, default=2)
     p.add_argument("--height-cap", type=finite_float, default=math.log(100))
@@ -608,14 +601,65 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT)
     p.add_argument("--dobrowolski-c", type=finite_float, default=0.25)
-    common(p)
-    p.set_defaults(func=cmd_theorem2)
+    return cmd_theorem2
 
+
+#: (name, help line, the function that adds its arguments and returns its
+#: command, the flag whose value may be a negative rational or None)
+SUBCOMMANDS = (
+    ("orbit", "exact preperiodic orbit data for one order N", _orbit_args, None),
+    ("cheb", "Chebyshev polynomial coefficients and exact evaluation", _cheb_args, "--at"),
+    ("height", "Weil height of a rational or algebraic number", _height_args, "--beta"),
+    ("canonical-height", "canonical height in closed form (local heights), with the h vs h_phi gap",
+     _canonical_height_args, "--beta"),
+    ("sintegral", "exact S-integrality verdict for one orbit", _sintegral_args, "--beta"),
+    ("scan", "sweep orbits N <= Nmax for S-integrality", _scan_args, "--beta"),
+    ("equidist", "orbit-average vs integral discrepancies", _equidist_args, "--beta"),
+    ("baker", "two-log lower bound along CF convergents of the angle", _baker_args, "--beta"),
+    ("cor33", "p-adically near orbits scan (at most one expected)", _cor33_args, "--beta"),
+    ("theorem2", "seeded uniform-count experiment over sampled beta", _theorem2_args, None),
+)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The chebdyn parser. Every subcommand gets its parser and help line,
+    but only the one named ``command`` gets its arguments (every one when
+    command is None): they are most of the cost of building the parser, and
+    one call parses one subcommand."""
+    parser = _Parser(prog="chebdyn", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, _ in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            func = add_arguments(p)
+            p.add_argument("--output", help="write the JSON report here (default: stdout)")
+            p.add_argument("--csv", help="write the CSV table here (where applicable)")
+            p.set_defaults(func=func)
     return parser
 
 
+def _join_negative_rationals(argv: list[str], flag: str | None) -> list[str]:
+    """argv with "FLAG -p/q" passed on as "FLAG=-p/q": argparse reads a token
+    -p/q as an option, not as the value of the flag before it (a negative
+    integer it already reads as a value)."""
+    out = []
+    for token in argv:
+        if out and out[-1] == flag and re.fullmatch(r"-[0-9]+/[0-9]+", token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first token that names one: argparse reads the
+    # first token that is not an option as the subcommand and rejects others
+    flags = {name: flag for name, _, _, flag in SUBCOMMANDS}
+    at = next((i for i, token in enumerate(argv) if token in flags), len(argv))
+    command = argv[at] if at < len(argv) else ""
+    argv[at + 1 :] = _join_negative_rationals(argv[at + 1 :], flags.get(command))
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

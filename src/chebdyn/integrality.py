@@ -11,8 +11,11 @@ orbit are the prime divisors of F_N (away from the leading-coefficient
 primes of f_beta), and for p-integral beta, v_p(F_N) is the sum of the
 valuations v_p(beta - sigma(alpha)) over the conjugates. ``pairing_value``
 serves single-N callers; ``PairingSieve`` reads log|F_N| and v_p(F_N) for
-every N <= Nmax from one pass. Both run one exact kernel at every degree of
-beta, with no psi_N expanded: a Chebyshev recurrence in Z[y]/(g) and its norm.
+every N <= Nmax from one pass. Neither expands psi_N: ``pairing_value``, and
+the sieve at degree >= 2, run one exact kernel, a Chebyshev recurrence in
+Z[y]/(g) and its norm; the sieve at degree 1 reads the Lehmer pair of beta
+= r/s with no big integer (valuations from the recurrence mod p^K, logs from
+the roots of x^2 - beta x + 1).
 
 The Newton polygon of the denominator-cleared psi_N(beta - x) gives those
 valuations one conjugate at a time, read off the lower convex hull of
@@ -23,7 +26,9 @@ oracle for the pairing.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
@@ -34,10 +39,12 @@ from .chebyshev import (
     moebius_sums,
     orbit_size,
     preperiodic_orbit,
+    rational_preperiodic_order,
     symmetric_coeffs,
 )
 from .errors import CoincidentPointsError, DomainError, PrecisionError, PreperiodicInputError
 from .factorint import factor_counts, is_prime, padic_valuation
+from .heights import _U, _log_ratio, green_function
 from .intpoly import IntPoly, resultant
 from .numerics import cos_two_pi, precision_ladder
 from .records import record
@@ -313,50 +320,173 @@ def is_s_integral(orbit: PreperiodicOrbit, beta, places: PlaceSet) -> SIntegrali
     )
 
 
+# ---------------------------------------------------------------------------
+# the degree-1 kernel: the Lehmer pair of a rational beta
+# ---------------------------------------------------------------------------
+
+#: ``lehmer_valuations`` works mod the largest power of p below this
+LEHMER_MODULUS_BOUND = 1 << 62
+
+
+def _exact_factor(beta: Fraction, d: int) -> int:
+    """The exact G_d = 2 s^d - Q_d of rational beta = r/s, from the recurrence
+    ``_scaled_chebyshev``: the escalation of ``lehmer_valuations``."""
+    (q,) = next(itertools.islice(_scaled_chebyshev(_pairing_beta(beta)[1]), d - 1, None))
+    return 2 * beta.denominator**d - q
+
+
+def lehmer_valuations(beta: Fraction, n_max: int, p: int) -> list[int]:
+    """v_p(G_d) for 1 <= d <= n_max (index 0 unused), G_d = 2 s^d - Q_d the
+    factors of ``PairingSieve`` at rational beta = r/s, with no big integer.
+
+    Q_d = s^d T_d(r/s) obeys Q_0 = 2, Q_1 = r and Q_{d+1} = r Q_d - s^2
+    Q_{d-1}, so G_d mod p^K follows from residues, p^K the largest power of p
+    below LEHMER_MODULUS_BOUND (p itself past it). A nonzero residue carries
+    v_p(G_d); a zero one (v_p(G_d) >= K) rebuilds the exact G_d
+    (``_exact_factor``). A prime p | s needs no case of its own: Q_d = r^d mod
+    p for d >= 1, so G_d = -r^d is a unit mod p and v_p(G_d) = 0. beta must
+    lie in no orbit of order <= n_max, where some G_d = 0.
+    """
+    r, s = beta.numerator, beta.denominator
+    mod = p
+    while mod * p < LEHMER_MODULUS_BOUND:
+        mod *= p
+    r, s, s2 = r % mod, s % mod, s * s % mod
+    vals = [0] * (n_max + 1)
+    q_prev, q, two_s_d = 2, r, 2
+    for d in range(1, n_max + 1):
+        two_s_d = two_s_d * s % mod
+        g = (two_s_d - q) % mod
+        if g % p == 0:
+            vals[d] = padic_valuation(g or _exact_factor(beta, d), p)
+        q_prev, q = q, (r * q - s2 * q_prev) % mod
+    return vals
+
+
+def lehmer_logs(beta: Fraction, n_max: int) -> tuple[list[float], list[float]]:
+    """(log|F_N|, a bound on its error) for 1 <= N <= n_max (index 0 unused)
+    at rational beta = r/s, with no big integer beyond the rare escalations
+    of the root logs.
+
+    With beta = w + 1/w and |w| >= 1, 2 - T_d(beta) = -w^d (1 - w^-d)^2, so
+    the factors of ``PairingSieve`` have log|G_d| = d h + 2 L(d): h = log s +
+    g(beta) (g from ``heights.green_function``) and L(d) = log|1 - w^-d| from
+    ``equidist._root_logs``, the real-place rows' kernel, with its
+    certification and its escalation to the exact G_d. The Moebius sum of
+    log|G_d| over d | N, halved for N >= 3, is log|F_N|.
+
+    Error bound: fl(log s) is within 4 u (1 + log s) (``heights._log_ratio``),
+    so h is off by that, err(g) and u |h|; each term t_d = fl(fl(d h) + 2 L(d))
+    by d err(h) + u |d h| + 2 err(L(d)) + u |t_d|. The Moebius sum S_N is exact
+    and rounded once (``chebyshev.moebius_sums``), u |S_N|, and the halving
+    is exact. The 1% pad covers the rounding of the bound.
+    """
+    from .equidist import _root_logs  # equidist imports this module
+
+    ells, ell_errs = _root_logs(beta, n_max)
+    g = green_function(beta)
+    log_s = _log_ratio(beta.denominator, 1)
+    h = log_s + g.value
+    h_err = 4 * _U * (1 + log_s) + g.error_bound + _U * abs(h)
+    terms, errs = [], []
+    for d, (ell, ell_err) in enumerate(zip(ells, ell_errs)):
+        dh = d * h
+        t = dh + 2.0 * ell
+        terms.append(t)
+        errs.append(d * h_err + _U * abs(dh) + 2.0 * ell_err + _U * abs(t))
+    halves = [1, 1, 1] + [2] * (n_max - 2)
+    sums = moebius_sums(terms, n_max)
+    spread = moebius_sums(errs, n_max, operator.add)
+    logs = [v / half for v, half in zip(sums, halves)]
+    bounds = [1.01 * (e + _U * abs(v)) / half for v, e, half in zip(sums, spread, halves)]
+    return logs, bounds
+
+
+def primitive_divisor_cutoff(primes) -> int:
+    """max(30, max C(S)) for the finite primes of S, where C(S) is the set of
+    orders N > 30 with N | p - 1 or N | p + 1 for some p in S: past it no
+    orbit is S-integral relative to a rational beta (``scan_orbits``). As
+    p + 1 divides itself, max C(S) is p + 1 for the largest p >= 30 of S, and
+    C(S) is empty when every p <= 29; C({61}) = {31, 60, 62}."""
+    return max([30, *(p + 1 for p in primes)])
+
+
+# ---------------------------------------------------------------------------
+# every N at once: the pairing sieve and the S-integral scan
+# ---------------------------------------------------------------------------
+
+#: ``PairingSieve.log_abs`` is within this of log|F_N|. At degree 1 the float
+#: sum of ``lehmer_logs`` carries its own bound per N, and an N whose bound
+#: reaches this reads math.log of the exact F_N instead. At degree >= 2 the
+#: log is half the sum of at most 2^omega(N) terms +-log|G_d|, each math.log
+#: of an exact integer with relative error below 2^-50, and ``moebius_sums``
+#: rounds their exact sum once, so it is off by at most 2^omega(N) max_d
+#: log|G_d| 2^-50 + 2^-53 log|F_N|: below this while 2^omega(N) max_d log|G_d|
+#: < 1e9 nats (1e9 nats is a G_d of 180 MB).
+PAIRING_LOG_TOLERANCE = 1e-6
+
 #: F_N is S-integral iff log|F_N| - sum_p v_p(F_N) log p, the log of its
 #: integer cofactor away from the primes p of S and of lc(f_beta), is below
-#: this cutoff: the cofactor is 1 (log 0) or at least 2 (log 0.693). The
-#: float error is far smaller, at every degree of beta: log|F_N| is half
-#: the sum of at most 2^omega(N) terms +-log|G_d| (``PairingSieve``),
-#: each math.log of an exact integer with relative error below 2^-50, and
-#: ``moebius_sums`` rounds their exact sum once, so it is off by at most
-#: 2^omega(N) max_d log|G_d| 2^-50 + 2^-53 log|F_N|; the valuations are exact
-#: integers, and the stripped part adds at most |S| + omega(lc) products
-#: v_p log p, each rounded as finely. That stays below 1e-6 while
-#: 2^omega(N) max_d log|G_d| < 1e9 nats (1e9 nats is a G_d of 180 MB), so
-#: the verdict is exact.
+#: this cutoff: the cofactor is 1 (log 0) or at least 2 (log 0.693), so the
+#: verdict is exact while the computed difference is within 0.34 of the true
+#: one. log|F_N| is within PAIRING_LOG_TOLERANCE (``PairingSieve``); the
+#: valuations are exact integers, and the stripped part adds at most |S| +
+#: omega(lc) products v_p log p, each within a few u of its value, with as many
+#: roundings in the sum: together far below 0.34 - 1e-6 while log|F_N| is below
+#: 1e9 nats.
 COFACTOR_LOG_CUTOFF = 0.34
 
 
 class PairingSieve:
     """log|F_N| and v_p(F_N) for every N <= n_max and beta of any degree.
 
-    One pass of the recurrence ``pairing_value`` reads, Q_d = a^d T_d(beta)
-    in Z[y]/(g) (``_scaled_chebyshev``), gives G_d = a^d Norm(2 - T_d(beta))
-    = Norm(2 a^d - Q_d) / a^(d(D-1)) (``_norm``) for d <= n_max, with a =
-    lc(f_beta): 2 s^d - Q_d for rational beta = r/s. As 2 - T_d(w + 1/w) =
-    -(w^d - 1)^2 / w^d splits over the orders e | d, G_d = +-F_1 F_2^[2 | d]
-    prod_{3 <= e | d} F_e^2, and Moebius inversion gives prod_{d | N}
-    G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2: the divisor-product
-    form of cyclotomic values (Arnold & Monagan, Math. Comp. 80, 2011). Only
-    log|G_d| and v_p(G_d) for the given primes are kept, so the sign of F_N
-    is lost; every reader is sign-free. The cost is one recurrence to n_max
-    plus the divisor sums, against a recurrence to the orbit size per N for
-    ``pairing_value``. The divisor sums of every N come from one sieve pass
-    (``chebyshev.moebius_sums``) per quantity: exact for the valuations, and
-    for log|F_N| the exact sum rounded once, built only when first read;
-    orbit sizes come from ``chebyshev.orbit_size``. log|F_N| serves only the
-    S-integrality verdict (``scan_orbits``, to COFACTOR_LOG_CUTOFF); a
-    real-place orbit average reads the same product in closed form, with no
-    big integer (``equidist.real_place_defects``).
+    With a = lc(f_beta), the factors G_d = a^d Norm(2 - T_d(beta)), d <= n_max,
+    split over the orders e | d, as 2 - T_d(w + 1/w) = -(w^d - 1)^2 / w^d:
+    G_d = +-F_1 F_2^[2 | d] prod_{3 <= e | d} F_e^2. Moebius inversion gives
+    prod_{d | N} G_d^mu(N/d) = F_N^2 for N >= 3 and +-F_N for N <= 2: the
+    divisor-product form of cyclotomic values (Arnold & Monagan, Math. Comp.
+    80, 2011). So log|F_N| and v_p(F_N) for the given primes are Moebius sums
+    of log|G_d| and v_p(G_d), one sieve pass per quantity over every N
+    (``chebyshev.moebius_sums``), exact for the valuations. The sign of F_N is
+    lost; every reader is sign-free. Orbit sizes come from
+    ``chebyshev.orbit_size``.
 
-    G_d = 0 exactly when T_d(beta) = 2, that is when beta lies in an orbit
-    of order dividing d; the first such d is that order, and it is rejected
-    with PreperiodicInputError as ``pairing_value`` rejects it.
+    At degree 1, beta = r/s and G_d = 2 s^d - Q_d, the Lehmer-pair kernel
+    reads them with no big integer: v_p(G_d) from the recurrence mod p^K
+    (``lehmer_valuations``) and log|G_d| from the root logs of beta
+    (``lehmer_logs``). At degree >= 2, one exact pass of the recurrence
+    ``pairing_value`` reads, Q_d = a^d T_d(beta) in Z[y]/(g)
+    (``_scaled_chebyshev``), gives G_d = Norm(2 a^d - Q_d) / a^(d(D-1))
+    (``_norm``), of which math.log|G_d| and v_p(G_d) are kept.
+
+    The logs are summed on the first ``log_abs``, as some sweeps read only
+    valuations (``near_orbit_scan``, finite-place rows). log|F_N| serves only
+    the S-integrality verdict (``scan_orbits``, to COFACTOR_LOG_CUTOFF); a
+    real-place orbit average reads the same product in closed form
+    (``equidist.real_place_defects``).
+
+    G_d = 0 exactly when beta lies in an orbit of order dividing d; the least
+    such d is that order (at degree 1, the order 1, 2, 3, 4 or 6 of a
+    rational preperiodic point), rejected with PreperiodicInputError as
+    ``pairing_value`` rejects it.
     """
 
     def __init__(self, beta, n_max: int, primes=()):
         self.beta, f, what = _pairing_beta(beta)
+        self._n_max, self._halves, self._log = n_max, [1, 1, 1] + [2] * (n_max - 2), None
+        if f.degree == 1:
+            order = rational_preperiodic_order(self.beta)
+            if order is not None and order <= n_max:
+                raise PreperiodicInputError(f"beta = {what} is a conjugate of the order-{order} orbit")
+            self._log_g = None
+            val_g = {p: lehmer_valuations(self.beta, n_max, p) for p in primes}
+        else:
+            self._log_g, val_g = self._exact_pass(f, what, n_max, primes)
+        self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max), self._halves)] for p, vals in val_g.items()}
+
+    @staticmethod
+    def _exact_pass(f: IntPoly, what: str, n_max: int, primes):
+        """log|G_d| and {p: v_p(G_d)} for d <= n_max from the exact G_d."""
         a, lift = f.leading, f.leading ** (f.degree - 1)
         monic = f.scaled_monic()
         log_g = [0.0] * (n_max + 1)
@@ -372,16 +502,18 @@ class PairingSieve:
             for p, vals in val_g.items():
                 if g_d % p == 0:
                     vals[d] = padic_valuation(g_d, p)
-        self._halves = [1, 1, 1] + [2] * (n_max - 2)
-        self._log_g, self._log = log_g, None
-        self._val = {p: [v // half for v, half in zip(moebius_sums(vals, n_max), self._halves)] for p, vals in val_g.items()}
+        return log_g, val_g
 
     def log_abs(self, n: int) -> float:
-        """log|F_n|. The sums are built on the first read, as some sweeps
-        read only valuations (``near_orbit_scan``, finite-place rows)."""
+        """log|F_n|, within PAIRING_LOG_TOLERANCE."""
         if self._log is None:
-            sums = moebius_sums(self._log_g, len(self._log_g) - 1)
-            self._log = [v / half for v, half in zip(sums, self._halves)]
+            if self._log_g is None:
+                self._log, self._bound = lehmer_logs(self.beta, self._n_max)
+            else:
+                sums = moebius_sums(self._log_g, self._n_max)
+                self._log, self._bound = [v / half for v, half in zip(sums, self._halves)], None
+        if self._bound is not None and self._bound[n] >= PAIRING_LOG_TOLERANCE:
+            return math.log(abs(pairing_value(n, self.beta)))
         return self._log[n]
 
     def valuation(self, n: int, p: int) -> int:
@@ -399,9 +531,29 @@ def scan_orbits(beta, places: PlaceSet, n_max: int, size_threshold: float):
     below COFACTOR_LOG_CUTOFF. Returns (rows, exceptional): one (N, orbit
     size, {p: v_p(F_N)} over the primes of S that divide F_N) per S-integral
     orbit, and the number of them whose size exceeds size_threshold.
+
+    A rational beta = r/s is sieved only to min(n_max, cutoff(S)), cutoff(S)
+    = ``primitive_divisor_cutoff``, and the rows are the same. Proof: let
+    a, b be the roots of x^2 - sqrt(r + 2 s) x + s, so (a + b)^2 = r + 2 s
+    and ab = s are coprime integers (gcd(r + 2 s, s) = gcd(r, s) = 1), r + 2 s
+    != 0 (beta != -2), and w = a/b has w + 1/w = ((a + b)^2 - 2 ab) / ab =
+    beta, so w is not a root of unity (beta wanders): (a, b) is a Lehmer
+    pair. Pairing each primitive N-th root zeta with 1/zeta, (a - zeta b)
+    (a - b / zeta) = ab (beta - (zeta + 1/zeta)), so the homogeneous
+    cyclotomic value Phi_N(a, b) = s^m psi_N(beta) = F_N (m = phi(N)/2).
+    By Bilu, Hanrot and Voutier (J. reine angew. Math. 539, 2001), for
+    N > 30 the N-th Lehmer number of every Lehmer pair has a primitive prime
+    divisor p. It divides Phi_N(a, b) = F_N, and it does not divide
+    (a^2 - b^2)^2 = (r + 2 s)(r - 2 s) or s, so the order N of w mod p (its
+    rank of apparition) divides p - 1 or p + 1. An S-integral orbit with
+    N > 30 therefore has N | p +- 1 for a p in S: N is in C(S), so N <=
+    cutoff(S). At the bench's place sets (primes <= 13) every rational scan
+    stops at N = 30.
     """
     s_fin = places.finite_primes
     stripped = (*s_fin, *sorted(_lead_primes(beta) - set(s_fin)))
+    if _pairing_beta(beta)[1].degree == 1:
+        n_max = min(n_max, primitive_divisor_cutoff(s_fin))
     sieve = PairingSieve(beta, n_max, stripped)
     logs = [math.log(p) for p in stripped]
     rows = []

@@ -486,3 +486,70 @@ def test_bench_tracer_resolves_traced_names(tmp_path):
         names = {span[0] for span in json.loads(spans.read_text())["spans"]}
         assert "integrality.pairing_value" in names
         assert "chebyshev.halved_minpoly" not in names
+
+
+# ---------------------------------------------------------------------------
+# the parser: one subcommand's arguments per call, the same text and values
+# ---------------------------------------------------------------------------
+
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(PINS["help"]))
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == PINS["help"][command]
+
+
+@pytest.mark.parametrize("argv, code, stderr", PINS["usageErrors"])
+def test_usage_error_text_is_pinned(argv, code, stderr, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
+def test_readme_examples_parse_to_their_pinned_namespaces(monkeypatch):
+    from chebdyn import cli
+
+    seen = []
+
+    def recorder(name):
+        def cmd(args):
+            seen.append({**vars(args), "func": name})
+            return 0
+
+        return cmd
+
+    for name in ("orbit", "cheb", "height", "canonical_height", "sintegral", "scan", "equidist", "baker",
+                 "cor33", "theorem2"):
+        monkeypatch.setattr(cli, f"cmd_{name}", recorder(f"cmd_{name}"))
+    examples = _readme_examples()
+    assert sorted(shlex.join(["chebdyn", *argv]) for argv in examples) == sorted(PINS["readmeNamespaces"])
+    for argv in examples:
+        assert main(argv) == 0
+        assert seen.pop() == PINS["readmeNamespaces"][shlex.join(["chebdyn", *argv])], argv
+    # so does the parser with every subcommand's arguments
+    for argv in examples:
+        parsed = vars(cli.build_parser().parse_args(cli._join_negative_rationals(argv, "--beta")))
+        pinned = PINS["readmeNamespaces"][shlex.join(["chebdyn", *argv])]
+        assert {**parsed, "func": pinned["func"]} == pinned, argv
+
+
+def test_a_negative_rational_value_may_follow_its_flag(capsys):
+    # argparse reads -3/2 as an option; "--beta -3/2" and "--at -3/2" work as
+    # "--beta=-3/2" and "--at=-3/2" do
+    for spaced, joined in (
+        (["cor33", "--beta", "-3/2", "--p", "3", "--Nmax", "60"], ["cor33", "--beta=-3/2", "--p=3", "--Nmax=60"]),
+        (["cheb", "--n", "4", "--at", "-3/2"], ["cheb", "--n=4", "--at=-3/2"]),
+        (["scan", "--beta", "-71/13", "--S", "inf,2", "--Nmax", "40"], ["scan", "--beta=-71/13", "--S=inf,2", "--Nmax=40"]),
+    ):
+        assert main(spaced) == 0, spaced
+        out = capsys.readouterr().out
+        assert main(joined) == 0
+        assert capsys.readouterr().out == out
+    # a value that is no rational is still a missing argument
+    assert main(["cor33", "--beta", "-x/2", "--p", "3", "--Nmax", "5"]) == 1
+    assert "argument --beta: expected one argument" in capsys.readouterr().err

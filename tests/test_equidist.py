@@ -350,7 +350,8 @@ def test_lambda_integral_keeps_its_digits_for_large_beta():
 def test_sweeps_walk_one_moebius_sum_per_quantity(monkeypatch):
     # phi comes from the arithmetic table, so a real-place sweep sums only
     # its terms and their error bounds, and the pairing sieve one valuation
-    # list per prime, then its logs on the first read of log|F_N|
+    # list per prime, then on the first read of log|F_N| its log terms and,
+    # at degree 1, their error bounds
     calls = []
     real = equidist.moebius_sums
 
@@ -367,7 +368,7 @@ def test_sweeps_walk_one_moebius_sum_per_quantity(monkeypatch):
     sieve = PairingSieve(Fraction(97, 89), 300, primes)
     assert calls == [300] * len(primes)
     sieve.log_abs(300), sieve.log_abs(7)
-    assert calls == [300] * (1 + len(primes))
+    assert calls == [300] * (2 + len(primes))
     calls.clear()
     equidist_rows(Fraction(97, 89), Place(3), range(1, 121))
     assert calls == [120]
