@@ -31,18 +31,12 @@ from .chebyshev import (
 )
 from .equidist import (
     DiscrepancyRecord,
-    LambdaIdentity,
-    PairingEstimate,
-    az_pairing_estimate,
     discrepancy,
     equidist_rows,
-    equilibrium_potential,
     finite_lambda_average,
     fitted_slope,
     lambda_integral,
-    log_plus_integral,
     orbit_lambda_average,
-    total_lambda_identity_check,
 )
 from .errors import (
     ChebdynError,
@@ -80,7 +74,7 @@ from .integrality import (
     scan_orbits,
 )
 from .intpoly import IntPoly, resultant
-from .numerics import ApproxComplex, ApproxReal
+from .numerics import ApproxComplex
 from .roots import complex_roots
 
 __version__ = "0.1.0"

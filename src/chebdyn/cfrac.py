@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .numerics import ApproxReal
 from .records import record
 
 
@@ -27,41 +26,24 @@ class ConvergentList:
     truncated: bool
 
 
-def _exact(x) -> Fraction:
-    """x as an exact rational: an int or Fraction as it is, a float's binary
-    value, and an mpmath mpf's (mpmath is only read when it made x)."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if hasattr(x, "_mpf_"):
-        import mpmath as mp
-
-        num, den = mp.libmp.to_rational(x._mpf_)
-        return Fraction(int(num), int(den))
-    return Fraction(float(x))
-
-
 def _to_interval(theta) -> tuple[Fraction, Fraction]:
     if isinstance(theta, (int, Fraction)):
         q = Fraction(theta)
         return q, q
-    if isinstance(theta, ApproxReal):
-        center, err = theta.value, theta.error_bound
-    elif isinstance(theta, tuple) and len(theta) == 2:
-        center, err = theta
-    else:
-        raise DomainError(f"unsupported input for continued fractions: {theta!r}")
-    c, e = _exact(center), _exact(err)
-    if e < 0:
-        raise DomainError("negative error bound")
-    return c - e, c + e
+    if isinstance(theta, tuple) and len(theta) == 2 and all(isinstance(v, (int, Fraction, float)) for v in theta):
+        c, e = map(Fraction, theta)  # a float's binary value, exactly
+        if e < 0:
+            raise DomainError("negative error bound")
+        return c - e, c + e
+    raise DomainError(f"unsupported input for continued fractions: {theta!r}")
 
 
 def cf_convergents(theta, n_max: int) -> ConvergentList:
     """Continued fraction convergents of theta with denominators <= n_max.
 
-    theta may be an int/Fraction (exact), an ApproxReal, or a pair
-    (value, error_bound) of ints, Fractions, floats or mpfs, each read
-    exactly.
+    theta may be an int or Fraction (exact), or a pair (value, error_bound)
+    of ints, Fractions or floats, each read exactly; any other input raises
+    DomainError.
     """
     if n_max < 1:
         raise DomainError("denominator cap must be positive")

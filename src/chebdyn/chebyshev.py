@@ -26,7 +26,6 @@ from operator import mul, sub
 from .errors import DomainError
 from .factorint import arithmetic_table, primes_upto
 from .intpoly import IntPoly
-from .numerics import ApproxReal, cos_two_pi
 from .records import record
 
 # ---------------------------------------------------------------------------
@@ -279,10 +278,9 @@ def conjugates_fast(n: int) -> list[float]:
 
 @record
 class PreperiodicOrbit:
-    """The Galois orbit over Q of zeta_N + 1/zeta_N.
-
-    conjugates[i] approximates 2 cos(2 pi a_values[i] / order); every
-    conjugate lies in [-2, 2]. The minimal polynomial and the conjugates are
+    """The Galois orbit over Q of zeta_N + 1/zeta_N: its conjugates are
+    2 cos(2 pi a / order) for a in a_values, all in [-2, 2]
+    (``conjugates_fast`` reads them as floats). The minimal polynomial is
     computed when read, so an orbit that is only averaged over expands no
     psi_N.
     """
@@ -301,15 +299,6 @@ class PreperiodicOrbit:
     def conjugate_error_bound(self) -> float:
         """The error bound of every value in ``conjugates_fast(order)``."""
         return ORBIT_COS_ERROR if self.order > 2 else 0.0
-
-    @property
-    def conjugates(self) -> tuple[ApproxReal, ...]:
-        bound = self.conjugate_error_bound
-        return tuple(ApproxReal(x, bound) for x in conjugates_fast(self.order))
-
-    def conjugate_mp(self, i: int, prec: int = 64):
-        """High-precision conjugate value (mpf) for escalation paths."""
-        return cos_two_pi(self.a_values[i], self.order, prec)
 
 
 @lru_cache(maxsize=MOEBIUS_CACHE_SIZE)
@@ -339,26 +328,6 @@ def rational_preperiodic_order(x) -> int | None:
     return _RATIONAL_PREPERIODIC.get(Fraction(x))
 
 
-def is_preperiodic_dynamic(x, max_steps: int = 64) -> bool:
-    """Bounded-orbit detection under T_2 with exact rational arithmetic.
-
-    Cross-checks the closed preperiodic classification: a rational point is
-    preperiodic iff its exact T_2-orbit revisits a value.
-    """
-    x = Fraction(x)
-    seen = {x}
-    for _ in range(max_steps):
-        x = x * x - 2
-        if x in seen:
-            return True
-        if x.denominator > 1 and x.denominator.bit_length() > 256:
-            return False  # heights blow up: denominator q -> q^2 each step
-        if abs(x) > 2:
-            return False  # escapes the invariant interval, so wanders
-        seen.add(x)
-    return False
-
-
 def preperiodic_order_of_minpoly(f: IntPoly, search_bound: int | None = None) -> int | None:
     """If f is (up to sign) some psi_N, return N, else None.
 
@@ -384,7 +353,9 @@ def preperiodic_order_of_minpoly(f: IntPoly, search_bound: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# independent pairing routes, kept as the test suite's oracles
+# independent pairing routes: no CLI command runs them, but the benchmark's
+# tracer (bench/tracing.py) wraps them by name, so they stay here; the test
+# suite reads them as oracles of integrality.PairingSieve
 # ---------------------------------------------------------------------------
 
 

@@ -32,15 +32,11 @@ from .chebyshev import (
     minpoly_spot_checks,
     preperiodic_orbit,
 )
-from .equidist import (
-    equidist_rows,
-    fitted_slope,
-    lambda_integral,
-    log_plus_integral,
-)
+from .equidist import equidist_rows, fitted_slope, lambda_integral
 from .errors import ChebdynError, DomainError, PrecisionError
 from .factorint import euler_phi, is_prime
 from .heights import (
+    LOG_PLUS_INTEGRAL,
     canonical_height,
     dobrowolski_floor,
     sample_betas,
@@ -101,6 +97,17 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+class _Count(argparse.Action):
+    """Stores a count or an order bound, which may be 0 but not negative.
+    An action, not a type, so a value that is not an int keeps argparse's
+    own "invalid int value" message."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must not be negative: {value}")
+        setattr(namespace, self.dest, value)
 
 
 def parse_places(text: str) -> PlaceSet:
@@ -343,7 +350,7 @@ def cmd_equidist(args):
         "rows": len(rows),
         "fittedSlope": slope,
         "finalDiscrepancy": rows[-1][2] if rows else None,
-        "logPlusIntegral": log_plus_integral(),
+        "logPlusIntegral": LOG_PLUS_INTEGRAL,
         "lambdaIntegral": lambda_integral(beta, place),
         "azLimitPrediction": h_phi.value + lambda_integral(beta, ARCH),
         "canonicalHeight": h_phi.value,
@@ -554,7 +561,7 @@ def _sintegral_args(p):
 def _scan_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--S", required=True)
-    p.add_argument("--Nmax", type=int, required=True)
+    p.add_argument("--Nmax", type=int, action=_Count, required=True)
     p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT,
                    help="c in the exceptional-orbit size cutoff c*D^12")
     return cmd_scan
@@ -562,7 +569,7 @@ def _scan_args(p):
 
 def _equidist_args(p):
     p.add_argument("--beta", required=True)
-    p.add_argument("--Nmax", type=int, required=True)
+    p.add_argument("--Nmax", type=int, action=_Count, required=True)
     p.add_argument("--Nmin", type=int, default=1)
     p.add_argument("--place", default="inf")
     p.add_argument("--primes-only", action="store_true")
@@ -577,7 +584,7 @@ def _baker_args(p):
     p.add_argument("--ceps", type=finite_float, default=None,
                    help="override the assembled explicit constant")
     p.add_argument("--Nmax", type=int, default=10000)
-    p.add_argument("--prox-Nmax", type=int, default=0,
+    p.add_argument("--prox-Nmax", type=int, action=_Count, default=0,
                    help="also check the per-orbit proximity bound up to this order")
     p.add_argument("--prox-eps", type=finite_float, default=0.5)
     p.add_argument("--prox-ceps", type=finite_float, default=4.0)
@@ -587,7 +594,7 @@ def _baker_args(p):
 def _cor33_args(p):
     p.add_argument("--beta", required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--Nmax", type=int, required=True)
+    p.add_argument("--Nmax", type=int, action=_Count, required=True)
     p.add_argument("--eps", type=finite_float, default=0.5)
     return cmd_cor33
 
@@ -596,8 +603,8 @@ def _theorem2_args(p):
     p.add_argument("--S", required=True)
     p.add_argument("--Dcap", type=int, default=2)
     p.add_argument("--height-cap", type=finite_float, default=math.log(100))
-    p.add_argument("--Nmax", type=int, default=2000)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--Nmax", type=int, action=_Count, default=2000)
+    p.add_argument("--trials", type=int, action=_Count, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size-constant", type=finite_float, default=DEFAULT_SIZE_CONSTANT)
     p.add_argument("--dobrowolski-c", type=finite_float, default=0.25)

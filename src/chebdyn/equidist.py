@@ -1,5 +1,5 @@
-"""The equilibrium measure on [-2, 2], logarithmic potentials, orbit-averaged
-proximity, and the pairing-style convergence diagnostics.
+"""The equilibrium measure on [-2, 2], its proximity integrals, and
+orbit-averaged proximity with its real-place discrepancy.
 
 The canonical measure of the Chebyshev system at the real place is
 dmu = (1/pi) dx / sqrt(4 - x^2) on [-2, 2]; under x = 2 cos(t) it becomes
@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
-from .chebyshev import PreperiodicOrbit, cheb_eval, is_preperiodic_rational, moebius_sums, orbit_size
+from .chebyshev import PreperiodicOrbit, moebius_sums, orbit_size
 from .chebyshev import conjugates_fast  # noqa: F401  (traced under this module by bench/tracing.py)
 from .errors import DomainError, PreperiodicInputError
 from .factorint import arithmetic_table, padic_valuation
@@ -24,13 +24,10 @@ from .heights import (
     DEFECT_SERIES_FROM,
     LOG_PLUS_INTEGRAL,
     LOG_PLUS_INTEGRAL_LOW,
-    HeightValue,
     _log_ratio,
-    canonical_height,
     green_function,
     log_plus,
     orbit_generator_height,
-    orbit_generator_heights,
     orbit_height_defects,
     weil_height_rational,
 )
@@ -77,52 +74,12 @@ def _unit_root(beta: Fraction) -> tuple[int, int]:
     return (r << bits) // (2 * s), math.isqrt((-disc << 2 * bits) // (4 * s * s))
 
 
-def equilibrium_potential(beta) -> float:
-    """The logarithmic potential int log|x - beta| dmu(x): the Green's
-    function g(beta) of [-2, 2] (``heights.green_function``, which derives
-    its error bound). Validated against adaptive quadrature of the defining
-    integral in the test suite.
-    """
-    return green_function(beta).value
-
-
-def quadrature_potential(beta, prec_digits: int = 25) -> float:
-    """Direct adaptive quadrature of (1/pi) int_0^pi log|2cos t - beta| dt.
-
-    Independent oracle for equilibrium_potential; splits at the interior
-    singularity when beta lies on the support.
-    """
-    import mpmath as mp
-
-    z = complex(beta)
-    with mp.workdps(prec_digits):
-        zz = mp.mpc(z)
-
-        def f(t):
-            return mp.log(abs(2 * mp.cos(t) - zz))
-
-        points = [0, mp.pi]
-        if z.imag == 0 and -2 < z.real < 2:
-            points = [0, mp.acos(mp.mpf(z.real) / 2), mp.pi]
-        val = mp.quad(f, points) / mp.pi
-        return float(val)
-
-
-def log_plus_integral() -> float:
-    """kappa = int log+ |x| dmu(x) = (2/pi) int_0^{pi/3} log(2 cos t) dt.
-
-    In closed form kappa = Cl_2(pi/3) / pi with Clausen's Cl_2, which is
-    Smyth's Mahler measure m(1 + x + y) = 3 sqrt(3) L(chi_-3, 2) / (4 pi);
-    ``heights.LOG_PLUS_INTEGRAL`` is that value rounded to the nearest double.
-    """
-    return LOG_PLUS_INTEGRAL
-
-
 def lambda_integral(beta, place: Place = ARCH) -> float:
     """int lambda_{x,v}(beta) dmu_v(x) for the canonical measure at v, for
     rational beta.
 
-    At the real place this assembles to log+|beta| + kappa - g(beta). On
+    At the real place this assembles to log+|beta| + kappa - g(beta), with
+    kappa = int log+|x| dmu(x) (``heights.LOG_PLUS_INTEGRAL``). On
     [-2, 2], g = 0 and it is log+|beta| + kappa, log+ read from the integers
     (``heights.log_plus``). For |beta| > 2, with beta = w + 1/w and |w| > 1,
     log|beta| - log|w| = log1p(w^-2), so it is kappa + log1p(w^-2), w^-1
@@ -136,27 +93,14 @@ def lambda_integral(beta, place: Place = ARCH) -> float:
         return FINITE_PLACE_INTEGRAL
     beta = _rational(beta)
     if abs(beta) <= 2:
-        return log_plus(beta) + log_plus_integral()
+        return log_plus(beta) + LOG_PLUS_INTEGRAL
     x = _unit_root(beta)[0]
-    return log_plus_integral() + math.log1p(x * x / (1 << 2 * ROOT_BITS))
+    return LOG_PLUS_INTEGRAL + math.log1p(x * x / (1 << 2 * ROOT_BITS))
 
 
 # ---------------------------------------------------------------------------
 # orbit averages of the local proximity
 # ---------------------------------------------------------------------------
-
-
-def _arch_average_mp(orbit: PreperiodicOrbit, beta: Fraction, prec: int) -> float:
-    import mpmath as mp
-
-    r, s = beta.numerator, beta.denominator
-    with mp.workprec(prec):
-        denom_b = mp.mpf(max(abs(r), s))
-        total = mp.mpf(0)
-        for i in range(orbit.size):
-            c = orbit.conjugate_mp(i, prec)
-            total += -mp.log(abs(c * s - r) / (max(abs(c), 1) * denom_b))
-        return float(total / orbit.size)
 
 
 def finite_lambda_average(order: int, beta, p: int) -> float:
@@ -185,8 +129,8 @@ def real_place_lambda_average(h_beta: float, h_alpha: float, size: int, log_pair
     product formula.
 
     lambda summed over every place and averaged over the orbit is
-    h(beta) + h(alpha_N) (``total_lambda_identity_check``), and the finite
-    places add up to log|F_N| / |P| exactly, so the real-place average is
+    h(beta) + h(alpha_N), and the finite places add up to log|F_N| / |P|
+    exactly, so the real-place average is
     h(beta) + h(alpha_N) - log|F_N| / |P|. No term divides by a gap
     |x - beta|, so a beta crowding a conjugate costs no accuracy, where a
     float64 mean of the lambdas is off by up to ORBIT_COS_ERROR / gap.
@@ -216,54 +160,8 @@ def orbit_lambda_average(orbit: PreperiodicOrbit, beta, place: Place = ARCH) -> 
     )
 
 
-@record
-class LambdaIdentity:
-    """Both sides of the exact all-places proximity identity.
-
-    Summing the orbit-averaged lambda over the real place and every meeting
-    prime (denominator primes contribute zero) must equal
-    h(beta) + h(alpha): the product formula in local coordinates.
-    """
-
-    orbit_order: int
-    beta: str
-    lhs: float
-    rhs: float
-    gap: float
-    arch_average: float
-    finite_total: float
-
-
-def total_lambda_identity_check(orbit: PreperiodicOrbit, beta, prec: int = 96) -> LambdaIdentity:
-    """Assemble sum_v orbit-average lambda_v against h(beta) + h(alpha).
-
-    The finite part is summed exactly over all primes at once: by unique
-    factorization, sum_p (log p) v_p(F) = log|F| for the pairing value F,
-    which already accounts for every meeting prime and gives denominator
-    primes their zero contribution.
-    """
-    import mpmath as mp
-
-    beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-    f_val = pairing_value(orbit.order, beta)
-    arch = _arch_average_mp(orbit, beta, prec)
-    with mp.workprec(prec):
-        finite = float(mp.log(abs(mp.mpf(f_val))) / orbit.size) if abs(f_val) > 1 else 0.0
-    lhs = arch + finite
-    rhs = weil_height_rational(beta).value + orbit_generator_height(orbit.order).value
-    return LambdaIdentity(
-        orbit_order=orbit.order,
-        beta=str(beta),
-        lhs=lhs,
-        rhs=rhs,
-        gap=abs(lhs - rhs),
-        arch_average=arch,
-        finite_total=finite,
-    )
-
-
 # ---------------------------------------------------------------------------
-# discrepancy records and pairing estimates
+# discrepancy records
 # ---------------------------------------------------------------------------
 
 
@@ -491,69 +389,3 @@ def fitted_slope(sizes, discrepancies) -> float:
     if kx >= ky:
         return (num << (kx - ky)) / den
     return num / (den << (ky - kx))
-
-
-@record
-class PairingEstimate:
-    """Convergence of per-orbit total proximity toward its height-pairing limit.
-
-    ``limit_prediction`` = h_phi(beta) + int lambda dmu at the real place
-    (finite places integrate to zero by good reduction). ``totals`` carries
-    (order, size, total, gap); the empirical rate constant rescales the gap
-    by the pairing convergence shape sqrt-size shape.
-    """
-
-    beta: str
-    limit_prediction: float
-    canonical_height: HeightValue
-    totals: tuple[tuple[int, int, float, float], ...]
-    empirical_rate_constant: float
-
-
-def az_pairing_estimate(beta, n_max: int, min_size: int = 1, tol: float = 1e-10) -> PairingEstimate:
-    """Per-orbit total lambda sums against the pairing limit, for N <= n_max.
-
-    beta must be rational and non-preperiodic. By the product formula the
-    total over every place of the orbit-averaged lambda is
-    h(beta) + h(alpha_N) (``total_lambda_identity_check``), so no pairing
-    value is needed.
-    """
-    beta = beta.as_fraction() if isinstance(beta, AlgebraicNumber) else Fraction(beta)
-    if is_preperiodic_rational(beta):
-        raise PreperiodicInputError(f"{beta} is preperiodic")
-    h_phi = canonical_height(beta, 2, tol)
-    limit = h_phi.value + lambda_integral(beta, ARCH)
-    h_beta = weil_height_rational(beta).value
-    rows = []
-    rate = 0.0
-    kept = [(n, size) for n in range(1, n_max + 1) if (size := orbit_size(n)) >= min_size]
-    for (n, size), h_alpha in zip(kept, orbit_generator_heights([n for n, _ in kept])):
-        total = h_beta + h_alpha.value
-        gap = abs(total - limit)
-        rows.append((n, size, total, gap))
-        if size > 1:
-            shape = (1 + math.log(math.sqrt(size))) / math.sqrt(size)
-            rate = max(rate, gap / shape)
-    return PairingEstimate(
-        beta=str(beta),
-        limit_prediction=limit,
-        canonical_height=h_phi,
-        totals=tuple(rows),
-        empirical_rate_constant=rate,
-    )
-
-
-def measure_invariance_gap(d: int, monomial_degree: int, prec_digits: int = 25) -> float:
-    """|int f(T_d(x)) dmu - int f dmu| for f = x^k: the invariance witness."""
-    import mpmath as mp
-
-    with mp.workdps(prec_digits):
-        def lhs(t):
-            return cheb_eval(d, 2 * mp.cos(t)) ** monomial_degree
-
-        def rhs(t):
-            return (2 * mp.cos(t)) ** monomial_degree
-
-        a = mp.quad(lhs, [0, mp.pi]) / mp.pi
-        b = mp.quad(rhs, [0, mp.pi]) / mp.pi
-        return float(abs(a - b))

@@ -82,8 +82,10 @@ def weil_height_algebraic(alpha: AlgebraicNumber, precision: float = 1e-13) -> H
     return HeightValue(v, (err + 8e-16 * (1 + abs(v))), "mahler-numeric")
 
 
-#: kappa = int log+|x| dmu(x) (``equidist.log_plus_integral``), the mean of
-#: log max(1, |2 cos 2 pi t|) over t in [0, 1], rounded to the nearest double
+#: kappa = int log+|x| dmu(x) = (2/pi) int_0^{pi/3} log(2 cos t) dt, the mean
+#: of log max(1, |2 cos 2 pi t|) over t in [0, 1], rounded to the nearest
+#: double. In closed form kappa = Cl_2(pi/3) / pi with Clausen's Cl_2, which
+#: is Smyth's Mahler measure m(1 + x + y) = 3 sqrt(3) L(chi_-3, 2) / (4 pi)
 LOG_PLUS_INTEGRAL = 0.32306594721945053
 #: |LOG_PLUS_INTEGRAL - kappa| is at most half an ulp: kappa lies in [1/4, 1/2)
 LOG_PLUS_INTEGRAL_ERROR = 2.0**-55

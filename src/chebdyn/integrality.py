@@ -156,7 +156,7 @@ def chordal_distance(x, y, place: Place = ARCH):
                 return (1.0, 0.0)
             if isinstance(z, (int, Fraction)):
                 return (float(z), 1.0)
-            value = getattr(z, "value", z)  # ApproxReal / ApproxComplex
+            value = getattr(z, "value", z)  # an ApproxComplex reads as its centre
             return (complex(value) if isinstance(value, complex) else float(value), 1.0)
 
         x1, x2 = coords(x)

@@ -48,18 +48,6 @@ def round_div(n: int, d: int) -> int:
 
 
 @record
-class ApproxReal:
-    """A float plus a rigorous bound on its distance to the exact number."""
-
-    value: float
-    error_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.error_bound < 0:
-            raise ValueError("error bound must be nonnegative")
-
-
-@record
 class ApproxComplex:
     """A complex float plus a rigorous bound on its distance to the exact number."""
 

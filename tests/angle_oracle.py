@@ -9,6 +9,7 @@ their names; ``convergent_rows`` runs the convergent scan through them.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from chebdyn import AlgebraicNumber, DomainError, PrecisionError, cf_convergents, weil_height_algebraic
@@ -70,10 +71,14 @@ def gap_log_mp(beta: AlgebraicNumber, a: int, n: int, prec: int = 192) -> float:
 
 def convergent_rows(beta: AlgebraicNumber, n_cap: int, eps: float, c_eps: float):
     """(a, N, lhs, rhs, status) of every convergent the former scan read, and
-    its calibrated constant."""
+    its calibrated constant. theta_0 goes to ``cf_convergents`` as the exact
+    binary value of its mpf, which the library no longer reads."""
+    import mpmath as mp
+
     prec = max(192, 4 * int(math.log2(max(n_cap, 2))) + 96)
     theta, terr = certified_angle_mp(beta, prec)
-    convs = cf_convergents((theta, terr), n_cap)
+    num, den = mp.libmp.to_rational(theta._mpf_)
+    convs = cf_convergents((Fraction(int(num), int(den)), terr), n_cap)
     d, h = beta.degree, weil_height_algebraic(beta).value
     rows, calibrated = [], 0.0
     for a, n in convs.convergents:

@@ -456,16 +456,54 @@ def test_theorem2_rejects_caps_with_nothing_to_sample(caps, message):
     # no wandering rational has height below log 2 and no point below 0, so
     # the draw would never end; e^1000 overflows a double; no beta has
     # degree 0. A subprocess with a timeout, so a draw that never ends fails.
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chebdyn.cli", "theorem2", "--S", "inf,2", "--Nmax", "20", "--trials", "2", *caps],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _cli_process("theorem2", "--S", "inf,2", "--Nmax", "20", "--trials", "2", *caps)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error:") and message in proc.stderr, proc.stderr
+
+
+def _cli_process(*argv):
+    """``python -m chebdyn.cli`` on argv in a fresh interpreter, so an
+    uncaught exception shows as the traceback a user would see."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "chebdyn.cli", *argv], env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # a negative order bound reached chebyshev.moebius_sums as an IndexError
+        (["scan", "--beta", "3", "--S", "inf,2", "--Nmax", "-5"], "--Nmax"),
+        (["theorem2", "--S", "inf,2", "--Nmax", "-5", "--trials", "3"], "--Nmax"),
+        (["cor33", "--beta", "3/2", "--p", "3", "--Nmax", "-5"], "--Nmax"),
+        (["equidist", "--beta", "3", "--Nmax", "-5"], "--Nmax"),
+        # these ran and stated the negative count in their reports
+        (["theorem2", "--S", "inf,2", "--Nmax", "10", "--trials", "-1"], "--trials"),
+        (["baker", "--beta", "poly:5,-6,5@1", "--prox-Nmax", "-5"], "--prox-Nmax"),
+    ],
+)
+def test_negative_counts_are_usage_errors(argv, flag):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"usage error: argument {flag}: must not be negative: {argv[argv.index(flag) + 1]}\n"
+
+
+def test_zero_counts_still_run(capsys):
+    # Nmax 0 scans no orbit, and --prox-Nmax 0 is the default that turns the
+    # proximity check off
+    for argv in (["scan", "--beta", "3", "--S", "inf,2", "--Nmax", "0"],
+                 ["cor33", "--beta", "3/2", "--p", "3", "--Nmax", "0"],
+                 ["theorem2", "--S", "inf,2", "--Nmax", "0", "--trials", "0"]):
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0 and rep["results"]["Nmax"] == 0, argv
+    code, rep = run_cli(capsys, "baker", "--beta", "poly:5,-6,5@1", "--Nmax", "100", "--prox-Nmax", "0")
+    assert code == 0 and "proximity" not in rep["results"]
 
 
 def test_bench_tracer_resolves_traced_names(tmp_path):

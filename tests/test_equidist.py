@@ -13,36 +13,35 @@ from chebdyn import (
     Place,
     PreperiodicInputError,
     algebraic_number,
-    az_pairing_estimate,
     discrepancy,
-    equilibrium_potential,
     finite_lambda_average,
     lambda_integral,
-    log_plus_integral,
     orbit_lambda_average,
     orbit_size,
     preperiodic_orbit,
-    total_lambda_identity_check,
-    weil_height_rational,
 )
 from chebdyn.equidist import (
     arch_discrepancy_fast,
     equidist_rows,
     fitted_slope,
-    measure_invariance_gap,
-    quadrature_potential,
     real_place_defects,
 )
 from chebdyn import equidist, factorint, integrality, is_prime
 from chebdyn.integrality import newton_polygon_valuations, orbit_shift_poly
-from chebdyn.heights import LOG_PLUS_INTEGRAL_ERROR
+from chebdyn.heights import LOG_PLUS_INTEGRAL, LOG_PLUS_INTEGRAL_ERROR, green_function
+from equidist_oracle import (
+    az_pairing_estimate,
+    measure_invariance_gap,
+    quadrature_potential,
+    total_lambda_identity_check,
+)
 
 
 def test_potential_examples():
-    assert abs(equilibrium_potential(3) - math.log((3 + math.sqrt(5)) / 2)) < 1e-14
-    assert equilibrium_potential(2) == 0.0
-    assert equilibrium_potential(0) == 0.0
-    assert equilibrium_potential(-2) == 0.0
+    assert abs(green_function(3).value - math.log((3 + math.sqrt(5)) / 2)) < 1e-14
+    assert green_function(2).value == 0.0
+    assert green_function(0).value == 0.0
+    assert green_function(-2).value == 0.0
 
 
 def test_potential_against_quadrature_grid():
@@ -54,13 +53,13 @@ def test_potential_against_quadrature_grid():
         for im in (-2, -0.7, 0.4, 1.9):
             pts.append(complex(re, im))
     for z in pts:
-        assert abs(equilibrium_potential(z) - quadrature_potential(z)) < 1e-8, z
+        assert abs(green_function(z).value - quadrature_potential(z)) < 1e-8, z
 
 
 def test_potential_on_support_matches_quadrature():
     for x in (0.0, 0.5, -1.3):
         assert abs(quadrature_potential(x)) < 1e-8
-        assert equilibrium_potential(x) == 0.0
+        assert green_function(x).value == 0.0
 
 
 def test_potential_reads_the_integers_near_two_and_past_float_range():
@@ -70,20 +69,20 @@ def test_potential_reads_the_integers_near_two_and_past_float_range():
         x = 2 + Fraction(1, 10**k)
         with mp.workprec(320):
             want = mp.acosh(mp.mpf(x.numerator) / x.denominator / 2)
-        assert abs(equilibrium_potential(x) - want) <= 1e-15 * want
-        assert abs(equilibrium_potential(-x) - want) <= 1e-15 * want
+        assert abs(green_function(x).value - want) <= 1e-15 * want
+        assert abs(green_function(-x).value - want) <= 1e-15 * want
     # past float range g is log|beta| to within 4 / beta^2, and
     # log+|beta| - g(beta) = log1p(w^-2) vanishes
     huge = Fraction(10**400 + 7, 3)
     with mp.workprec(320):
         want = mp.log(mp.mpf(huge.numerator) / 3)
-    assert abs(equilibrium_potential(huge) - want) <= 1e-15 * want
-    assert abs(lambda_integral(huge, ARCH) - log_plus_integral()) <= 1e-12
-    assert lambda_integral(-1 / huge, ARCH) == log_plus_integral()
+    assert abs(green_function(huge).value - want) <= 1e-15 * want
+    assert abs(lambda_integral(huge, ARCH) - LOG_PLUS_INTEGRAL) <= 1e-12
+    assert lambda_integral(-1 / huge, ARCH) == LOG_PLUS_INTEGRAL
 
 
 def test_log_plus_integral_closed_form():
-    kappa = log_plus_integral()
+    kappa = LOG_PLUS_INTEGRAL
     with mp.workdps(30):
         clausen = float(mp.clsin(2, mp.pi / 3) / mp.pi)
         # independent x-space quadrature: log+|x| vanishes on [-1, 1]
@@ -103,9 +102,9 @@ def test_log_plus_integral_closed_form():
 
 
 def test_lambda_integral_assembly():
-    kappa = log_plus_integral()
+    kappa = LOG_PLUS_INTEGRAL
     val = lambda_integral(3, ARCH)
-    assert abs(val - (math.log(3) + kappa - equilibrium_potential(3))) < 1e-13
+    assert abs(val - (math.log(3) + kappa - green_function(3).value)) < 1e-13
     # on the support with |beta| <= 1 the integral collapses to kappa
     assert abs(lambda_integral(Fraction(1, 2), ARCH) - kappa) < 1e-13
     assert lambda_integral(3, Place(11)) == 0.0  # good reduction convention
@@ -344,7 +343,7 @@ def test_lambda_integral_keeps_its_digits_for_large_beta():
         assert abs(lambda_integral(beta, ARCH) - want) <= math.ulp(0.32), beta
     # on [-2, 2] it is still log+|beta| + kappa
     for beta in (Fraction(1, 3), Fraction(-7, 4), Fraction(2)):
-        assert lambda_integral(beta, ARCH) == math.log(max(abs(beta), 1)) + log_plus_integral()
+        assert lambda_integral(beta, ARCH) == math.log(max(abs(beta), 1)) + LOG_PLUS_INTEGRAL
 
 
 def test_sweeps_walk_one_moebius_sum_per_quantity(monkeypatch):
@@ -453,7 +452,7 @@ def test_fitted_slope_edge_cases():
 def test_az_estimate_consistency():
     est = az_pairing_estimate(3, 60)
     # two independent assemblies of the limit for rational |beta| > 2
-    assert abs(est.limit_prediction - (math.log(3) + log_plus_integral())) < 1e-8
+    assert abs(est.limit_prediction - (math.log(3) + LOG_PLUS_INTEGRAL)) < 1e-8
     # per-orbit totals equal h(beta) + h(orbit generator) exactly (identity),
     # so the gap sequence is |h(alpha_N) - kappa|
     for n, size, total, gap in est.totals:
